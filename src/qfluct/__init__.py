@@ -17,9 +17,8 @@ from .errors import (NormalPhaseError, NumericalError, ParameterError, ParityErr
 from .fitting import PowerLawFit, fit_power_law
 from .gap import (GapSolution, critical_current_curve, josephson_energy,
                   meanfield_spin_expectations, rescaled_gap, solve_gap)
-from .junction import (JunctionBlock, JunctionParams, TransitionElement,
-                       build_blocks, circle_element, dyson_junction,
-                       dyson_junction_defect, evolution_element, layer_gaps,
-                       meso_compare, two_layer_correlator)
+from .junction import (JunctionParams, TransitionElement, circle_element,
+                       dyson_junction, dyson_junction_defect, evolution_element,
+                       layer_gaps, meso_compare, two_layer_correlator)
 from .sectors import (ModelParams, SectorLabel, SectorTable, boltzmann_table,
                       ladder_coefficient, multiplicity, sector_energy)

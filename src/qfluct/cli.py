@@ -3,9 +3,9 @@
 One JSON config per run, CSV for curves and tables, JSON for single
 objects; stdout carries a short summary only.  Every output file starts
 with a provenance header (config hash, package version, gap solutions
-used) so runs are reproducible and diffable.  Identical config and worker
-count produce byte-identical files: float fields are written with repr
-(shortest round-trip) and all orderings are fixed.
+used) so runs are reproducible and diffable.  Identical configs produce
+byte-identical files: float fields are written with repr (shortest
+round-trip) and all orderings are fixed.
 
 Exit codes: 0 ok, 1 selftest failure, 2 config error, 3 solver
 non-convergence (includes asking for fluctuations in the normal phase),
@@ -57,26 +57,42 @@ def _check_keys(cfg: dict, allowed, required):
         raise ParameterError(f"missing config keys: {', '.join(missing)}")
 
 
+def _is_num(value) -> bool:
+    # finite and representable as a float: rejects NaN, inf and huge integers
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _num(cfg, key, default=None):
     value = cfg.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParameterError(f"config key '{key}' must be a number")
+    if not _is_num(value):
+        raise ParameterError(f"config key '{key}' must be a finite number")
     return float(value)
 
 
 def _int(cfg, key, default=None):
     value = cfg.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ParameterError(f"config key '{key}' must be an integer")
     return value
 
 
 def _num_list(cfg, key, default=None):
     value = cfg.get(key, default)
-    if (not isinstance(value, list)
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
-        raise ParameterError(f"config key '{key}' must be a list of numbers")
+    if not isinstance(value, list) or not all(_is_num(v) for v in value):
+        raise ParameterError(f"config key '{key}' must be a list of finite numbers")
     return [float(v) for v in value]
+
+
+def _int_list(cfg, key, default=None):
+    value = cfg.get(key, default)
+    if not isinstance(value, list) or not value or not all(_is_int(v) for v in value):
+        raise ParameterError(f"config key '{key}' must be a non-empty list of integers")
+    return value
 
 
 def _parse_word(raw) -> correlators.FluctuationWord:
@@ -84,11 +100,8 @@ def _parse_word(raw) -> correlators.FluctuationWord:
         raise ParameterError("word must be a list of [alpha, n, m] triples")
     triples = []
     for item in raw:
-        if (not isinstance(item, list) or len(item) != 3
-                or isinstance(item[0], bool)
-                or not isinstance(item[0], (int, float))
-                or not isinstance(item[1], int) or isinstance(item[1], bool)
-                or not isinstance(item[2], int) or isinstance(item[2], bool)
+        if (not isinstance(item, list) or len(item) != 3 or not _is_num(item[0])
+                or not _is_int(item[1]) or not _is_int(item[2])
                 or item[1] < 0 or item[2] < 0):
             raise ParameterError(f"malformed word factor {item!r}, "
                                  "expected [alpha, n>=0, m>=0]")
@@ -170,7 +183,7 @@ def cmd_gap(args) -> int:
         print("warning: duplicate beta values deduplicated", file=sys.stderr)
         betas = list(dict.fromkeys(betas))
 
-    rows = gap.critical_current_curve(lam, epsilon, t_c, betas, workers=args.workers)
+    rows = gap.critical_current_curve(lam, epsilon, t_c, betas)
     coldest = gap.solve_gap(epsilon, t_c, max(betas))
 
     out = Path(args.out)
@@ -193,7 +206,7 @@ def cmd_converge(args) -> int:
         beta=_num(cfg, "beta"), mu=_num(cfg, "mu", 0.0),
     )
     word = _parse_word(cfg.get("word", [[0.0, 1, 1]]))
-    n_list = [int(n) for n in _num_list(cfg, "n_list", DEFAULT_N_LIST)]
+    n_list = _int_list(cfg, "n_list", DEFAULT_N_LIST)
     w_power = _int(cfg, "w_power", 1)
     w_time = _num(cfg, "time", 1.0)
 
@@ -202,8 +215,7 @@ def cmd_converge(args) -> int:
         raise NormalPhaseError(
             "requested temperature is in the normal phase; no fluctuation sweep")
 
-    sweep = correlators.convergence_sweep(params, word, sol, n_list,
-                                          workers=args.workers)
+    sweep = correlators.convergence_sweep(params, word, sol, n_list)
     w_rows = []
     for n in n_list:
         w_val = correlators.w_expectation(params, n, w_power, w_time)
@@ -248,6 +260,8 @@ def cmd_circle(args) -> int:
     )
     trunc = circle.ChargeBasisTruncation(_int(cfg, "n_max", 32), params.charge_offset)
     levels = _int(cfg, "levels", 5)
+    if levels < 1:
+        raise ParameterError("config key 'levels' must be at least 1")
     dispersion_points = _int(cfg, "dispersion_points", 21)
     phase_points = _int(cfg, "phase_points", 25)
     width = _num(cfg, "packet_width", 0.5)
@@ -305,12 +319,14 @@ def cmd_junction(args) -> int:
         e_c=_num(cfg, "e_c"), n_g=_num(cfg, "n_g", 0.0), beta=_num(cfg, "beta"),
     )
     t = _num(cfg, "time")
-    n_list = [int(n) for n in _num_list(cfg, "n_list", [4, 8, 12])]
+    n_list = _int_list(cfg, "n_list", [4, 8, 12])
     raw_elements = cfg.get("elements", [[0, 0, 1, -1]])
-    if (not isinstance(raw_elements, list)
-            or any(not isinstance(e, list) or len(e) != 4 for e in raw_elements)):
-        raise ParameterError("elements must be a list of [nL, nR, nL', nR'] quadruples")
-    elements = [((int(e[0]), int(e[1])), (int(e[2]), int(e[3]))) for e in raw_elements]
+    if (not isinstance(raw_elements, list) or not raw_elements
+            or any(not isinstance(e, list) or len(e) != 4
+                   or not all(_is_int(v) for v in e) for e in raw_elements)):
+        raise ParameterError("elements must be a non-empty list of "
+                             "[nL, nR, nL', nR'] integer quadruples")
+    elements = [((e[0], e[1]), (e[2], e[3])) for e in raw_elements]
     order = _int(cfg, "dyson_order", 2)
     dyson_n = _int(cfg, "dyson_n", min(n_list))
 
@@ -497,7 +513,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", default=None, help="JSON config file")
         cmd.add_argument("--out", default="out", help="output directory")
-        cmd.add_argument("--workers", type=int, default=1, help="worker pool size")
+        cmd.add_argument("--workers", type=int, default=1,
+                         help="ignored; every run is serial")
         cmd.add_argument("--tol", type=float, default=None, help="tolerance override")
         cmd.set_defaults(func=func)
     return parser

@@ -204,7 +204,7 @@ class ConvergenceResult:
 
 
 def convergence_sweep(params: ModelParams, word: FluctuationWord, gap: GapSolution,
-                      n_list, workers: int = 1) -> ConvergenceResult:
+                      n_list) -> ConvergenceResult:
     """Evaluate a word over a list of sizes and fit the decay of the error
     toward the large-N prediction.  The fit needs at least 4 sizes with a
     strictly positive error; identically-zero errors (off-diagonal or pure
@@ -215,14 +215,7 @@ def convergence_sweep(params: ModelParams, word: FluctuationWord, gap: GapSoluti
         raise ParityError("all sweep sizes must be even")
     target = mesoscopic_prediction(word).value
 
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        args = [(params, n, word, gap) for n in n_list]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_correlation_tuple, args))
-    else:
-        values = [correlation_finite_n(params, n, word, gap) for n in n_list]
+    values = [correlation_finite_n(params, n, word, gap) for n in n_list]
 
     errors = [abs(v - target) for v in values]
     fit = None
@@ -235,10 +228,6 @@ def convergence_sweep(params: ModelParams, word: FluctuationWord, gap: GapSoluti
         word=word, prediction=target, n_values=tuple(n_list),
         values=tuple(values), abs_errors=tuple(errors), fit=fit,
     )
-
-
-def _correlation_tuple(args):
-    return correlation_finite_n(*args)
 
 
 def single_layer_evolution_element(params: ModelParams, n_spins: int, n: int,

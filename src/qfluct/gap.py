@@ -142,8 +142,7 @@ def josephson_energy(lam: float, delta_l: float, delta_r: float) -> float:
     return 2.0 * lam * delta_l * delta_r
 
 
-def critical_current_curve(lam: float, epsilon: float, t_c: float, betas,
-                           workers: int = 1):
+def critical_current_curve(lam: float, epsilon: float, t_c: float, betas):
     """Tabulate ``(T, beta, delta, bold_delta, E_J)`` for identical layers
     over a grid of inverse temperatures, ordered by ascending temperature.
 
@@ -154,26 +153,14 @@ def critical_current_curve(lam: float, epsilon: float, t_c: float, betas,
     if not betas:
         raise ParameterError("empty beta grid")
 
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        args = [(epsilon, t_c, b) for b in betas]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            sols = list(pool.map(_solve_gap_tuple, args))
-    else:
-        sols = [solve_gap(epsilon, t_c, b) for b in betas]
-
     rows = []
-    for beta, sol in zip(betas, sols):
+    for beta in betas:
+        sol = solve_gap(epsilon, t_c, beta)
         rows.append(
             (1.0 / beta, beta, sol.delta, rescaled_gap(sol, t_c),
              josephson_energy(lam, sol.delta, sol.delta))
         )
     return rows
-
-
-def _solve_gap_tuple(args):
-    return solve_gap(*args)
 
 
 def meanfield_spin_expectations(sol: GapSolution, epsilon: float, t_c: float,

@@ -9,8 +9,8 @@ term are diagonal on the grid of system labels ``(a, b)`` while tunneling
 hops ``(a, b) -> (a+1, b-1)``, so the block further decomposes into
 tridiagonal chains of fixed ``a + b`` (total charge is conserved).  Matrix
 elements of the propagator between charge-transfer states are therefore
-exact sums over blocks of small tridiagonal eigenproblems; nothing global is
-ever materialized.
+exact sums over chains of small tridiagonal problems, built in one batch
+per left sector; nothing global is ever materialized.
 
 Energy scales: hopping enters as ``lambda / N^2`` (tunneling is a surface
 effect), and the large-N coupling of the relative phase is
@@ -19,7 +19,6 @@ effect), and the large-N coupling of the relative phase is
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -30,15 +29,15 @@ from .circle import ChargeBasisTruncation, CircuitParams, propagator
 from .correlators import FluctuationWord, _flat_table, correlation_finite_n
 from .errors import NormalPhaseError, ParameterError, ParityError, TruncationError
 from .gap import josephson_energy, solve_gap
-from .quadrature import ordered_phase_integral
+from .quadrature import chain_dyson
 from .sectors import ModelParams, ladder_coefficient
 
 __all__ = [
     "JunctionParams",
-    "JunctionBlock",
+    "ChainBatch",
     "TransitionElement",
     "layer_gaps",
-    "build_blocks",
+    "chain_batches",
     "evolution_element",
     "circle_element",
     "meso_compare",
@@ -102,25 +101,6 @@ def _eta(layer: ModelParams, n_spins: int, s: float, a):
             - (2.0 * layer.t_c / n_spins) * (s * (s + 1.0) - a * (a - 1.0)))
 
 
-def _sector_entries(layer: ModelParams, n_spins: int):
-    s, sz, log_w = _flat_table(layer, n_spins)
-    return list(zip(s.tolist(), sz.tolist(), log_w.tolist()))
-
-
-@dataclass(frozen=True)
-class JunctionBlock:
-    """One invariant block: spin sectors, commutant labels, total log weight
-    ``log[d(s_L) d(s_R) rho_L rho_R]`` and the block Hamiltonian on the
-    ``(a, b)`` grid (``a`` outer, ``b`` inner, both ascending)."""
-
-    s_l: float
-    sz_l0: float
-    s_r: float
-    sz_r0: float
-    log_weight: float
-    hamiltonian: np.ndarray
-
-
 @dataclass(frozen=True)
 class TransitionElement:
     source: tuple
@@ -129,94 +109,73 @@ class TransitionElement:
     value: complex
 
 
-def build_blocks(params: JunctionParams, n_spins: int, gaps=None):
-    """Materialize every block Hamiltonian (meant for small N; the count
-    grows like N^4).  Diagonal: layer spectra relative to the commutant
-    labels plus the charging term; off-diagonal: the tunneling ladder
-    products scaled by lambda / N^2."""
-    if n_spins % 2 != 0:
-        raise ParityError(f"n_spins must be even, got {n_spins}")
-    _resolve_gaps(params, gaps)
-    pl, pr = params.layer_params()
+@dataclass(frozen=True)
+class ChainBatch:
+    """The fixed-charge chains of one left sector ``s_l`` against every
+    contributing right sector ``s_r``, padded to a common length.
 
-    blocks = []
-    for s_l, sz_l0, logw_l in _sector_entries(pl, n_spins):
-        for s_r, sz_r0, logw_r in _sector_entries(pr, n_spins):
-            a_vals = np.arange(-s_l, s_l + 1)
-            b_vals = np.arange(-s_r, s_r + 1)
-            na, nb = len(a_vals), len(b_vals)
-            dim = na * nb
-            h = np.zeros((dim, dim))
+    Chain ``c`` holds the system labels ``(a[c, j], b[c, j])`` for
+    ``j < length[c]``, ``a`` ascending and ``a + b`` fixed; ``hop[c, j]``
+    joins positions ``j`` and ``j + 1`` and is zero past the chain's end.
+    ``start`` and ``end`` are the positions of the source and target
+    labels, and ``weight`` is the thermal weight of the sector pair times
+    the ladder amplitudes and normalizations of the two charge states."""
 
-            eta_l = _eta(pl, n_spins, s_l, a_vals) - _eta(pl, n_spins, s_l, sz_l0)
-            eta_r = _eta(pr, n_spins, s_r, b_vals) - _eta(pr, n_spins, s_r, sz_r0)
-            rel = 0.5 * ((a_vals[:, None] - sz_l0) - (b_vals[None, :] - sz_r0))
-            diag = (eta_l[:, None] + eta_r[None, :]
-                    + params.e_c * (rel - params.n_g) ** 2)
-            h[np.arange(dim), np.arange(dim)] = diag.reshape(-1)
-
-            hop = params.lam / n_spins**2
-            for ia, a in enumerate(a_vals[:-1]):
-                lp = ladder_coefficient(s_l, a, 1)
-                for ib, b in enumerate(b_vals[1:], start=1):
-                    lm = ladder_coefficient(s_r, b, -1)
-                    row = (ia + 1) * nb + (ib - 1)   # (a+1, b-1)
-                    col = ia * nb + ib               # (a, b)
-                    h[row, col] += hop * lp * lm
-                    h[col, row] += hop * lp * lm
-
-            blocks.append(JunctionBlock(
-                s_l=s_l, sz_l0=sz_l0, s_r=s_r, sz_r0=sz_r0,
-                log_weight=logw_l + logw_r, hamiltonian=h,
-            ))
-    return blocks
+    s_l: float
+    s_r: np.ndarray
+    weight: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    diag: np.ndarray
+    hop: np.ndarray
+    length: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
 
 
-def _chain(params, pl, pr, n_spins, s_l, sz_l0, s_r, sz_r0, charge):
-    """Tridiagonal chain of fixed total system charge ``a + b = charge``
-    inside one block: returns (a_lo, diagonal, hopping)."""
-    a_lo = max(-s_l, charge - s_r)
-    a_hi = min(s_l, charge + s_r)
-    a_vals = np.arange(a_lo, a_hi + 1)
-    b_vals = charge - a_vals
-    eta_l = _eta(pl, n_spins, s_l, a_vals) - float(_eta(pl, n_spins, s_l, sz_l0))
-    eta_r = _eta(pr, n_spins, s_r, b_vals) - float(_eta(pr, n_spins, s_r, sz_r0))
-    rel = 0.5 * ((a_vals - sz_l0) - (b_vals - sz_r0))
-    diag = eta_l + eta_r + params.e_c * (rel - params.n_g) ** 2
-    hop = np.array([
-        params.lam / n_spins**2
-        * ladder_coefficient(s_l, a_vals[j], 1)
-        * ladder_coefficient(s_r, b_vals[j], -1)
-        for j in range(len(a_vals) - 1)
-    ])
-    return a_lo, diag, hop
-
-
-def _element_terms(params: JunctionParams, n_spins, source, target, gaps):
-    """Common per-block data for propagator and perturbative elements:
-    yields (s_l, sz_l0, s_r, sz_r0, a0, b0, a1, b1, coeff) with coeff the
-    weight times ladder amplitudes and normalizations."""
+def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=None):
+    """Yield one ``ChainBatch`` per left sector that both charge states
+    reach.  Diagonal: layer spectra relative to the commutant labels plus
+    the charging term; hops: the tunneling ladder products scaled by
+    lambda / N^2."""
     gl, gr = _resolve_gaps(params, gaps)
     pl, pr = params.layer_params()
-    n_l, n_r = source
-    n_lp, n_rp = target
+    (n_l, n_r), (n_lp, n_rp) = source, target
     log_norm = ((abs(n_l) + abs(n_lp)) * math.log(gl.c * n_spins)
                 + (abs(n_r) + abs(n_rp)) * math.log(gr.c * n_spins))
 
-    for s_l, sz_l0, logw_l in _sector_entries(pl, n_spins):
-        lk_l = ladder_coefficient(s_l, sz_l0, n_l)
-        lb_l = ladder_coefficient(s_l, sz_l0, n_lp)
-        if lk_l == 0.0 or lb_l == 0.0:
+    s_r, sz_r0, logw_r = _flat_table(pr, n_spins)
+    amp_r = ladder_coefficient(s_r, sz_r0, n_r) * ladder_coefficient(s_r, sz_r0, n_rp)
+    keep = amp_r != 0.0
+    if not keep.any():
+        return
+    s_r, sz_r0, logw_r, amp_r = s_r[keep], sz_r0[keep], logw_r[keep], amp_r[keep]
+    col_s_r, col_sz_r0 = s_r[:, None], sz_r0[:, None]
+    for s_l, sz_l0, logw_l in zip(*_flat_table(pl, n_spins)):
+        amp_l = (ladder_coefficient(s_l, sz_l0, n_l)
+                 * ladder_coefficient(s_l, sz_l0, n_lp))
+        if amp_l == 0.0:
             continue
-        for s_r, sz_r0, logw_r in _sector_entries(pr, n_spins):
-            lk_r = ladder_coefficient(s_r, sz_r0, n_r)
-            lb_r = ladder_coefficient(s_r, sz_r0, n_rp)
-            if lk_r == 0.0 or lb_r == 0.0:
-                continue
-            coeff = (math.exp(logw_l + logw_r - log_norm)
-                     * lk_l * lk_r * lb_l * lb_r)
-            yield (s_l, sz_l0, s_r, sz_r0,
-                   sz_l0 + n_l, sz_r0 + n_r, sz_l0 + n_lp, sz_r0 + n_rp, coeff)
+        charge = sz_l0 + n_l + sz_r0 + n_r
+        a_lo = np.maximum(-s_l, charge - s_r)
+        length = np.rint(np.minimum(s_l, charge + s_r) - a_lo).astype(int) + 1
+        a = a_lo[:, None] + np.arange(length.max())
+        b = charge[:, None] - a
+        diag = ((_eta(pl, n_spins, s_l, a) - _eta(pl, n_spins, s_l, sz_l0))
+                + (_eta(pr, n_spins, col_s_r, b) - _eta(pr, n_spins, col_s_r, col_sz_r0))
+                + params.e_c * (0.5 * ((a - sz_l0) - (b - col_sz_r0)) - params.n_g) ** 2)
+        hop = (params.lam / n_spins**2 * ladder_coefficient(s_l, a[:, :-1], 1)
+               * ladder_coefficient(col_s_r, b[:, :-1], -1))
+        yield ChainBatch(
+            s_l=s_l, s_r=s_r, weight=np.exp(logw_l + logw_r - log_norm) * amp_l * amp_r,
+            a=a, b=b, diag=diag, hop=hop, length=length,
+            start=np.rint(sz_l0 + n_l - a_lo).astype(int),
+            end=np.rint(sz_l0 + n_lp - a_lo).astype(int),
+        )
+
+
+def _charge_labels(source, target):
+    return (int(source[0]), int(source[1])), (int(target[0]), int(target[1]))
 
 
 def evolution_element(params: JunctionParams, n_spins: int, source, target,
@@ -230,25 +189,19 @@ def evolution_element(params: JunctionParams, n_spins: int, source, target,
     """
     if n_spins % 2 != 0:
         raise ParityError(f"n_spins must be even, got {n_spins}")
-    source = (int(source[0]), int(source[1]))
-    target = (int(target[0]), int(target[1]))
+    source, target = _charge_labels(source, target)
     if sum(source) != sum(target):
         return TransitionElement(source, target, t, 0j)
 
-    pl, pr = params.layer_params()
     total = 0j
-    for (s_l, sz_l0, s_r, sz_r0, a0, b0, a1, b1, coeff) in _element_terms(
-            params, n_spins, source, target, gaps):
-        a_lo, diag, hop = _chain(params, pl, pr, n_spins,
-                                 s_l, sz_l0, s_r, sz_r0, a0 + b0)
-        if hop.size:
-            evals, vecs = eigh_tridiagonal(diag, hop)
-        else:
-            evals, vecs = diag, np.ones((1, 1))
-        i0 = int(round(a0 - a_lo))
-        i1 = int(round(a1 - a_lo))
-        prop = complex((vecs[i1] * np.exp(-1j * t * evals)) @ vecs[i0])
-        total += coeff * prop
+    for batch in chain_batches(params, n_spins, source, target, gaps):
+        for c, n in enumerate(batch.length):
+            if n > 1:
+                evals, vecs = eigh_tridiagonal(batch.diag[c, :n], batch.hop[c, :n - 1])
+            else:
+                evals, vecs = batch.diag[c, :1], np.ones((1, 1))
+            prop = (vecs[batch.end[c]] * np.exp(-1j * t * evals)) @ vecs[batch.start[c]]
+            total += complex(batch.weight[c] * prop)
     return TransitionElement(source, target, t, total)
 
 
@@ -325,87 +278,27 @@ def dyson_junction(params: JunctionParams, n_spins: int, t: float, order: int,
     """Elements of the order-K time-ordered perturbative propagator
     ``D_K(t) U_0(t)``, tunneling as the perturbation.
 
-    Inside each block a hop string of length k contributes a chain path
-    whose time integrand is a product of pure phases (free spectral gaps
-    plus the linear charging increments), integrated over the ordered
-    simplex; strings are batched across blocks into single quadrature
-    calls.
+    Each chain carries its Dyson terms from the source to the target
+    position: the shared chain recursion runs once per left-sector batch,
+    and ``U_0`` contributes the free and charging phase of the source.
     """
     if order < 0:
         raise ParameterError("order must be >= 0")
     if n_spins % 2 != 0:
         raise ParityError(f"n_spins must be even, got {n_spins}")
     gaps = _resolve_gaps(params, gaps)
-    pl, pr = params.layer_params()
 
     results = {}
     for source, target in elements:
-        source = (int(source[0]), int(source[1]))
-        target = (int(target[0]), int(target[1]))
-        key = (source, target)
-        if sum(source) != sum(target):
-            results[key] = 0j
-            continue
-
-        terms = list(_element_terms(params, n_spins, source, target, gaps))
-        if not terms:
-            results[key] = 0j
-            continue
-
-        # free + charging phase of U_0 on the starting labels
-        u0 = np.empty(len(terms), dtype=complex)
-        start_delta = None
-        for i, (s_l, sz_l0, s_r, sz_r0, a0, b0, a1, b1, coeff) in enumerate(terms):
-            e_free = (float(_eta(pl, n_spins, s_l, a0) - _eta(pl, n_spins, s_l, sz_l0))
-                      + float(_eta(pr, n_spins, s_r, b0) - _eta(pr, n_spins, s_r, sz_r0)))
-            p0 = 0.5 * ((a0 - sz_l0) - (b0 - sz_r0))
-            u0[i] = cmath.exp(-1j * t * (e_free + params.e_c * (p0 - params.n_g) ** 2))
-            start_delta = a1 - a0  # equal for all blocks by construction
-
-        coeffs = np.array([term[8] for term in terms])
-        total = complex(np.sum(coeffs * u0)) if start_delta == 0 else 0j
-
-        for k in range(1, order + 1):
-            if (k - start_delta) % 2 or abs(start_delta) > k:
-                continue
-            for bits in range(2**k):
-                gammas = [1 if (bits >> j) & 1 else -1 for j in range(k)]
-                if sum(gammas) != start_delta:
-                    continue
-                amp = np.zeros(len(terms))
-                thetas = np.zeros((k, len(terms)))
-                for i, (s_l, sz_l0, s_r, sz_r0, a0, b0, a1, b1, coeff) in enumerate(terms):
-                    a, b = float(a0), float(b0)
-                    path_amp = 1.0
-                    for j, g in enumerate(gammas):
-                        if g > 0:
-                            step = (ladder_coefficient(s_l, a, 1)
-                                    * ladder_coefficient(s_r, b, -1))
-                        else:
-                            step = (ladder_coefficient(s_l, a, -1)
-                                    * ladder_coefficient(s_r, b, 1))
-                        if step == 0.0:
-                            path_amp = 0.0
-                            break
-                        path_amp *= step
-                        a_new, b_new = a + g, b - g
-                        d_free = (float(_eta(pl, n_spins, s_l, a_new)
-                                        - _eta(pl, n_spins, s_l, a))
-                                  + float(_eta(pr, n_spins, s_r, b_new)
-                                          - _eta(pr, n_spins, s_r, b)))
-                        p_before = 0.5 * ((a - sz_l0) - (b - sz_r0))
-                        thetas[j, i] = d_free + params.e_c * (
-                            1.0 + 2.0 * g * (p_before - params.n_g))
-                        a, b = a_new, b_new
-                    amp[i] = path_amp
-                alive = amp != 0.0
-                if not np.any(alive):
-                    continue
-                integrals = ordered_phase_integral(thetas[:, alive], t, tol=tol)
-                prefactor = (-1j * params.lam / n_spins**2) ** k
-                total += prefactor * complex(
-                    np.sum(coeffs[alive] * amp[alive] * u0[alive] * integrals))
-        results[key] = total
+        source, target = _charge_labels(source, target)
+        total = 0j
+        if sum(source) == sum(target):
+            for batch in chain_batches(params, n_spins, source, target, gaps):
+                u0 = np.exp(-1j * t * batch.diag[np.arange(batch.start.size), batch.start])
+                terms = chain_dyson(batch.diag, batch.hop, batch.start, batch.end,
+                                    t, order, tol=tol)
+                total += complex(np.sum(batch.weight * u0 * terms))
+        results[(source, target)] = total
     return results
 
 

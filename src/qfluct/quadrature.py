@@ -1,16 +1,20 @@
-"""Iterated Gauss-Legendre quadrature over the ordered time simplex.
+"""Dyson series of tridiagonal hopping chains by iterated Gauss-Legendre
+quadrature over the ordered time simplex.
 
-The perturbative propagator terms reduce, channel by channel, to integrals
+On a chain with diagonal energies ``d`` and hops ``h`` between neighbours,
+the order-m Dyson term between positions is a sum over m-hop paths of
 
-    I(theta; t) = int_0^t dt1 e^{-i th1 t1} int_0^{t1} dt2 e^{-i th2 t2} ...
+    prod_j h_j  int_{t >= t_1 >= ... >= t_m >= 0}  prod_j e^{-i theta_j t_j},
 
-The iterated integrals are evaluated spectrally: function values on the
-Gauss-Legendre grid are projected on Legendre polynomials (exact for the
-interpolant, the product rule being exact up to degree 2q-1), the expansion
-is antidifferentiated term by term, and the primitive is read back at the
-nodes.  One such pass per nesting level replaces the naive q^k nested rule,
-and the whole recursion is vectorized over channels.  Nodes are doubled
-until the outermost value is stable.
+where hop j goes from p to p' with ``theta_j = d[p'] - d[p]``.  Instead of
+enumerating paths, the terms are built backward from the end positions:
+the order-m amplitude at every position is the antiderivative of the hops
+applied to the order-(m-1) amplitude, so each order costs one spectral
+pass.  Function values on the Gauss-Legendre grid are projected on
+Legendre polynomials (exact for the interpolant), the expansion is
+antidifferentiated term by term (Greengard, SIAM J. Numer. Anal. 28,
+1991), and the primitive is read back at the nodes.  Nodes are doubled
+until the result is stable.
 """
 
 from __future__ import annotations
@@ -22,7 +26,10 @@ from numpy.polynomial import legendre
 
 from .errors import NumericalError
 
-__all__ = ["ordered_phase_integral"]
+__all__ = ["chain_dyson", "ordered_phase_integral"]
+
+_Q_START = 32    # first Gauss-Legendre node count
+_Q_MAX = 4096    # node doubling stops here
 
 
 @lru_cache(maxsize=16)
@@ -45,25 +52,76 @@ def _operators(q: int):
     return nodes, at_nodes, at_end[0]
 
 
-def _pass(thetas: np.ndarray, t: float, q: int) -> np.ndarray:
-    depth, channels = thetas.shape
-    nodes, at_nodes, at_end = _operators(q)
-    times = 0.5 * t * (nodes + 1.0)
-    half = 0.5 * t
+def chain_dyson(diag, hop, start, ends, t: float, order: int,
+                tol: float = 1e-10) -> np.ndarray:
+    """``sum_{m <= order} (-i)^m`` times the order-m Dyson term from
+    ``start`` to ``ends``, for a batch of tridiagonal chains.
 
-    inner = np.ones((q, channels), dtype=complex)
-    for j in range(depth - 1, 0, -1):
-        integrand = np.exp(-1j * np.outer(times, thetas[j])) * inner
-        inner = half * (at_nodes @ integrand)
-    integrand = np.exp(-1j * np.outer(times, thetas[0])) * inner
-    return half * (at_end @ integrand)
+    ``diag`` has shape ``(chains, sites)`` and ``hop`` ``(chains, sites-1)``;
+    shorter chains are padded with zero hops.  ``start`` and ``ends`` hold
+    positions of shape ``(chains,)`` or ``(chains, S)`` / ``(chains, E)``;
+    the result has shape ``start.shape + ends.shape[1:]``.  The hop out of
+    ``start`` is the outermost integral.
+
+    Raises ``NumericalError`` if node doubling never stabilizes to ``tol``.
+    """
+    diag = np.asarray(diag, dtype=float)
+    hop = np.asarray(hop, dtype=float)
+    start, ends = np.asarray(start, dtype=int), np.asarray(ends, dtype=int)
+    out_shape = start.shape + ends.shape[1:]
+    start = start[:, None] if start.ndim == 1 else start
+    ends = ends[:, None] if ends.ndim == 1 else ends
+    chains, sites = diag.shape
+    rows = np.arange(chains)[:, None]
+    seed = np.zeros((chains, sites, ends.shape[1]), dtype=complex)
+    seed[rows, ends, np.arange(ends.shape[1])] = 1.0
+    pick = (rows, start)
+
+    if order == 0 or t == 0.0 or chains == 0:
+        return seed[pick].reshape(out_shape)
+
+    theta = np.diff(diag, axis=1)
+    live = np.abs(theta[hop != 0.0])
+    # start high enough to resolve the fastest phase
+    q = max(_Q_START, int(1.2 * live.max(initial=0.0) * abs(t) / 2.0) + 8)
+
+    def evaluate(q):
+        nodes, at_nodes, at_end = _operators(q)
+        half = 0.5 * t
+        phase = np.exp(-1j * (half * (nodes + 1.0))[:, None, None] * theta)
+        up = (-1j * hop * phase)[..., None]            # hop p -> p+1, seen from p
+        down = (-1j * hop * phase.conj())[..., None]   # hop p+1 -> p
+        amp = np.broadcast_to(seed, (q,) + seed.shape)
+        total = seed.copy()
+        for m in range(1, order + 1):
+            integrand = np.zeros(amp.shape, dtype=complex)
+            integrand[:, :, :-1] = up * amp[:, :, 1:]
+            integrand[:, :, 1:] += down * amp[:, :, :-1]
+            flat = integrand.reshape(q, -1)
+            total += half * (at_end @ flat).reshape(seed.shape)
+            if m < order:
+                amp = half * (at_nodes @ flat).reshape(amp.shape)
+        return total[pick].reshape(out_shape)
+
+    previous = None
+    while q <= _Q_MAX:
+        current = evaluate(q)
+        if previous is not None:
+            scale = max(1.0, float(np.max(np.abs(current))))
+            if float(np.max(np.abs(current - previous))) <= tol * scale:
+                return current
+        previous = current
+        q *= 2
+    raise NumericalError(
+        f"simplex quadrature did not stabilize to {tol} below {_Q_MAX} nodes"
+    )
 
 
-def ordered_phase_integral(thetas, t: float, tol: float = 1e-10,
-                           q_start: int = 32, q_max: int = 4096) -> np.ndarray:
+def ordered_phase_integral(thetas, t: float, tol: float = 1e-10) -> np.ndarray:
     """Ordered-simplex integral of ``prod_j exp(-i theta_j t_j)`` over
     ``t >= t_1 >= t_2 >= ... >= t_k >= 0``, vectorized over the columns of
-    ``thetas`` (shape ``(k, channels)``).
+    ``thetas`` (shape ``(k, channels)``): the one-path chain with energies
+    ``0, theta_1, theta_1 + theta_2, ...`` and unit hops.
 
     Raises ``NumericalError`` if node doubling never stabilizes to ``tol``.
     """
@@ -71,21 +129,7 @@ def ordered_phase_integral(thetas, t: float, tol: float = 1e-10,
     depth, channels = thetas.shape
     if depth == 0:
         raise ValueError("need at least one nesting level")
-    if channels == 0:
-        return np.zeros(0, dtype=complex)
-    if t == 0.0:
-        return np.zeros(channels, dtype=complex)
-
-    # start high enough to resolve the fastest phase
-    q = max(q_start, int(1.2 * np.max(np.abs(thetas)) * abs(t) / 2.0) + 8)
-    previous = _pass(thetas, t, q)
-    while q <= q_max:
-        q *= 2
-        current = _pass(thetas, t, q)
-        scale = max(1.0, float(np.max(np.abs(current))))
-        if float(np.max(np.abs(current - previous))) <= tol * scale:
-            return current
-        previous = current
-    raise NumericalError(
-        f"simplex quadrature did not stabilize to {tol} below {q_max} nodes"
-    )
+    diag = np.concatenate([np.zeros((channels, 1)), np.cumsum(thetas.T, axis=1)], axis=1)
+    values = chain_dyson(diag, np.ones((channels, depth)), np.zeros(channels),
+                         np.full(channels, depth), t, depth, tol=tol)
+    return 1j**depth * values

@@ -239,28 +239,18 @@ def boltzmann_table(params: ModelParams, n_spins: int) -> SectorTable:
     return SectorTable(n_spins=n_spins, log_partition=log_z, rows=rows)
 
 
-def ladder_coefficient(s, s_z, k: int) -> float:
+def ladder_coefficient(s, s_z, k: int):
     """Matrix element ``<s, s_z + k| (S_+)^k |s, s_z>`` for ``k >= 0``, or the
     matching lowering product ``<s, s_z + k| (S_-)^{|k|} |s, s_z>`` for
-    ``k < 0``.  Walks that exit ``[-s, s]`` return 0 by contract.
+    ``k < 0``.  Walks that exit ``[-s, s]`` return 0 by contract.  ``s`` and
+    ``s_z`` broadcast as arrays; scalar labels give a float.
     """
-    if abs(s_z) > s:
-        return 0.0
-    value = 1.0
-    m = float(s_z)
+    s = np.asarray(s, dtype=float)
+    m = np.asarray(s_z, dtype=float)
+    step = 1.0 if k >= 0 else -1.0
     s2 = s * (s + 1.0)
-    if k >= 0:
-        for _ in range(k):
-            c2 = s2 - m * (m + 1.0)
-            if c2 <= 0.0:
-                return 0.0
-            value *= math.sqrt(c2)
-            m += 1.0
-    else:
-        for _ in range(-k):
-            c2 = s2 - m * (m - 1.0)
-            if c2 <= 0.0:
-                return 0.0
-            value *= math.sqrt(c2)
-            m -= 1.0
-    return value
+    value = np.where(np.abs(m) > s, 0.0, 1.0)
+    for _ in range(abs(k)):
+        value = value * np.sqrt(np.maximum(s2 - m * (m + step), 0.0))
+        m = m + step
+    return float(value) if value.ndim == 0 else value

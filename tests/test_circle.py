@@ -188,6 +188,27 @@ def test_dyson_terms_vs_matrix_quadrature():
     assert np.max(np.abs((d2 - d1) - term2)) < 1e-12
 
 
+def test_dyson_terms_vs_block_exponential():
+    # Van Loan: with H_0 on the diagonal and V on the superdiagonal of the
+    # block-bidiagonal B, block (0, m) of expm(-i t B) is the order-m term
+    # of exp(-i t (H_0 + V))
+    from scipy.linalg import expm
+
+    params = circle.CircuitParams(e_c=1.3, e_j=-0.7, n_g=0.3, charge_offset=0.5)
+    trunc = circle.ChargeBasisTruncation(4, charge_offset=0.5)
+    t, order, dim = 0.8, 6, trunc.dim
+    h = circle.build_hamiltonian(params, trunc)
+    h0 = np.diag(np.diag(h))
+    blocks = np.kron(np.eye(order + 1), h0) + np.kron(np.eye(order + 1, k=1), h - h0)
+    first_row = expm(-1j * t * blocks)[:dim]
+    u_free = np.diag(np.exp(-1j * t * np.diag(h)))
+    want = np.zeros((dim, dim), dtype=complex)
+    for k in range(order + 1):
+        want += first_row[:, k * dim:(k + 1) * dim]
+        got = circle.dyson_circle(params, trunc, t, k) @ u_free
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
 def test_dyson_zero_coupling_is_identity():
     params = circle.CircuitParams(e_c=1.0, e_j=0.0)
     trunc = circle.ChargeBasisTruncation(5)

@@ -156,6 +156,30 @@ def test_junction_normal_phase_exit(tmp_path):
     assert code == 3
 
 
+CIRCLE = {"e_c": 1.0, "e_j": 0.2, "n_max": 12}
+JUNCTION = {"left": {"epsilon": 0.0, "t_c": 1.0}, "right": {"epsilon": 0.0, "t_c": 1.0},
+            "beta": 2.0, "lambda": 1.0, "e_c": 0.4, "time": 0.3, "n_list": [4]}
+CONVERGE = {"epsilon": 0.0, "t_c": 1.0, "beta": 2.0}
+
+
+@pytest.mark.parametrize("command,config", [
+    ("junction", {**JUNCTION, "time": float("nan")}),
+    ("circle", {**CIRCLE, "e_j": float("nan")}),
+    ("circle", {**CIRCLE, "e_c": 10**400}),
+    ("junction", {**JUNCTION, "n_list": []}),
+    ("converge", {**CONVERGE, "n_list": []}),
+    ("circle", {**CIRCLE, "levels": 0}),
+    ("junction", {**JUNCTION, "n_list": [4.7]}),
+    ("junction", {**JUNCTION, "elements": [[0.5, 0, 1, -1]]}),
+], ids=["junction-time-nan", "circle-ej-nan", "circle-ec-huge-int", "junction-empty-n-list",
+        "converge-empty-n-list", "circle-zero-levels", "junction-fractional-n",
+        "junction-fractional-element"])
+def test_malformed_config_is_config_error(tmp_path, capsys, command, config):
+    code, _ = run(tmp_path, command, config)
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_selftest_passes(capsys):
     assert cli.main(["selftest"]) == 0
     out = capsys.readouterr().out

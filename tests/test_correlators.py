@@ -158,15 +158,6 @@ def test_convergence_sweep_exact_zero_cases():
     assert all(e == 0 for e in ident.abs_errors)
 
 
-def test_convergence_sweep_workers_match_serial():
-    params = sectors.ModelParams(epsilon=0.0, t_c=1.0, beta=2.0)
-    sol = gap.solve_gap(0.0, 1.0, 2.0)
-    w = word([[0.0, 1, 1]])
-    a = correlators.convergence_sweep(params, w, sol, [16, 32, 64, 128], workers=1)
-    b = correlators.convergence_sweep(params, w, sol, [16, 32, 64, 128], workers=2)
-    assert a.values == b.values
-
-
 def test_regrouping_difference_decays_like_one_over_n():
     params = sectors.ModelParams(epsilon=0.0, t_c=1.0, beta=2.0)
     sol = gap.solve_gap(0.0, 1.0, 2.0)

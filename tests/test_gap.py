@@ -174,10 +174,3 @@ def test_both_branch_residuals_reported():
     sol = gap.solve_gap(0.5, 1.0, 3.0)
     want = 0.5 / 1.0 - math.tanh(3.0 * 0.5)
     assert sol.normal_residual == pytest.approx(want, rel=1e-12)
-
-
-def test_curve_workers_match_serial():
-    betas = [1.5, 2.0, 5.0]
-    serial = gap.critical_current_curve(1.0, 0.0, 1.0, betas, workers=1)
-    parallel = gap.critical_current_curve(1.0, 0.0, 1.0, betas, workers=2)
-    assert serial == parallel

@@ -30,39 +30,46 @@ def test_layer_gaps_normal_phase_rejected():
     with pytest.raises(NormalPhaseError):
         junction.layer_gaps(hot)
     with pytest.raises(NormalPhaseError):
-        junction.build_blocks(hot, 4)
+        list(junction.chain_batches(hot, 4, (0, 0), (0, 0)))
+
+
+def all_chains(params=PARAMS, n_spins=4):
+    # the (0, 0) -> (0, 0) element reaches every sector pair with unit
+    # ladder amplitudes and normalization
+    return list(junction.chain_batches(params, n_spins, (0, 0), (0, 0), gaps=GAPS))
 
 
 def test_blocks_hermitian_and_diagonal_without_coupling():
-    blocks = junction.build_blocks(PARAMS, 4, gaps=GAPS)
-    assert len(blocks) == 9 * 9  # sum over (s, sz) pairs on each side
-    for block in blocks:
-        np.testing.assert_allclose(block.hamiltonian, block.hamiltonian.T.conj(),
-                                   atol=1e-14)
+    batches = all_chains()
+    assert sum(batch.weight.size for batch in batches) == 9 * 9  # (s, sz) pairs per side
+    hop_scale = PARAMS.lam / 4**2
+    for batch in batches:
+        # the hop (a, b) -> (a+1, b-1) equals its reverse (a+1, b-1) -> (a, b)
+        reverse = (hop_scale
+                   * sectors.ladder_coefficient(batch.s_l, batch.a[:, 1:], -1)
+                   * sectors.ladder_coefficient(batch.s_r[:, None], batch.b[:, 1:], 1))
+        np.testing.assert_allclose(batch.hop, reverse, rtol=1e-14, atol=0)
 
     decoupled = junction.JunctionParams(
         left=PARAMS.left, right=PARAMS.right, lam=0.0, e_c=PARAMS.e_c,
         n_g=PARAMS.n_g, beta=PARAMS.beta)
-    for block in junction.build_blocks(decoupled, 4, gaps=GAPS):
-        off = block.hamiltonian - np.diag(np.diag(block.hamiltonian))
-        assert np.count_nonzero(off) == 0
+    for batch in all_chains(decoupled):
+        assert np.count_nonzero(batch.hop) == 0
 
 
 def test_blockwise_charge_conservation():
-    # [H, p_L + p_R] = 0 as an exact matrix identity on every block
-    for block in junction.build_blocks(PARAMS, 4, gaps=GAPS):
-        na = round(2 * block.s_l + 1)
-        nb = round(2 * block.s_r + 1)
-        a = np.repeat(np.arange(-block.s_l, block.s_l + 1), nb)
-        b = np.tile(np.arange(-block.s_r, block.s_r + 1), na)
-        p_total = np.diag((a - block.sz_l0) + (b - block.sz_r0))
-        comm = block.hamiltonian @ p_total - p_total @ block.hamiltonian
-        assert np.max(np.abs(comm)) == 0.0
+    # every chain keeps a + b fixed while each hop moves one pair across
+    for batch in all_chains():
+        for c, n in enumerate(batch.length):
+            a, b = batch.a[c, :n], batch.b[c, :n]
+            assert np.all(a + b == a[0] + b[0])
+            np.testing.assert_array_equal(np.diff(a), 1.0)
+            assert not np.any(batch.hop[c, n - 1:])  # no hop out of the chain
 
 
 def test_block_weights_sum_to_one():
-    blocks = junction.build_blocks(PARAMS, 4, gaps=GAPS)
-    assert sum(np.exp(b.log_weight) for b in blocks) == pytest.approx(1.0, rel=1e-12)
+    total = sum(batch.weight.sum() for batch in all_chains())
+    assert total == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("source,target", ELEMENTS)
@@ -232,6 +239,35 @@ def test_dyson_terms_vs_dense_matrix_quadrature():
         ref2 = complex(bra.conj() @ (term2 @ ket))
         assert d1[(src, tgt)] - d0[(src, tgt)] == pytest.approx(ref1, abs=1e-12)
         assert d2[(src, tgt)] - d1[(src, tgt)] == pytest.approx(ref2, abs=1e-12)
+
+
+def test_dyson_terms_vs_block_exponential():
+    # Van Loan: with H_0 on the diagonal and V on the superdiagonal of the
+    # block-bidiagonal B, block (0, m) of expm(-i t B) is the order-m term
+    # of exp(-i t H); H conserves the total charge, so B is built on the
+    # charge sector of each element
+    from scipy.linalg import expm
+
+    pl, pr = PARAMS.layer_params()
+    full = dense_oracle()
+    free = dense.DenseJunction(pl, pr, 0.0, PARAMS.e_c, PARAMS.n_g,
+                               GAPS[0], GAPS[1], 2)
+    t, order = 0.4, 4
+    got = [junction.dyson_junction(PARAMS, 2, t, k, ELEMENTS, gaps=GAPS)
+           for k in range(order + 1)]
+    for src, tgt in ELEMENTS:
+        sector = np.rint(np.diag(full.p_total)) == sum(src)
+        h0 = free.hamiltonian[np.ix_(sector, sector)]
+        v = full.hamiltonian[np.ix_(sector, sector)] - h0
+        dim = h0.shape[0]
+        blocks = np.kron(np.eye(order + 1), h0) + np.kron(np.eye(order + 1, k=1), v)
+        first_row = expm(-1j * t * blocks)[:dim]
+        ket = full.charge_state(*src)[sector]
+        bra = full.charge_state(*tgt)[sector]
+        want = 0j
+        for k in range(order + 1):
+            want += complex(bra.conj() @ first_row[:, k * dim:(k + 1) * dim] @ ket)
+            assert got[k][(src, tgt)] == pytest.approx(want, abs=1e-12)
 
 
 def test_dyson_rejects_bad_order():

@@ -165,11 +165,11 @@ def test_ladder_coefficient_vs_matrix_power(s):
     s_minus = s_plus.T
     for k in range(-int(2 * s) - 1, int(2 * s) + 2):
         power = np.linalg.matrix_power(s_plus if k >= 0 else s_minus, abs(k))
-        for i, m in enumerate(m_values):
-            j = i + k
-            want = power[j, i] if 0 <= j < dim else 0.0
-            got = sectors.ladder_coefficient(s, m, k)
-            assert got == pytest.approx(want, abs=1e-12)
+        want = [power[i + k, i] if 0 <= i + k < dim else 0.0 for i in range(dim)]
+        got = [sectors.ladder_coefficient(s, m, k) for m in m_values]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # the broadcast call over every s_z agrees with the scalar calls exactly
+        np.testing.assert_array_equal(sectors.ladder_coefficient(s, m_values, k), got)
 
 
 def test_model_params_validation():
