@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .errors import ParameterError, TruncationError
+from .errors import ParameterError, TruncationError, require_finite
 from .quadrature import chain_dyson
 
 __all__ = [
@@ -60,6 +60,8 @@ class CircuitParams:
     charge_offset: float = 0.0
 
     def __post_init__(self):
+        require_finite(e_c=self.e_c, e_j=self.e_j, n_g=self.n_g,
+                       charge_offset=self.charge_offset)
         if self.e_c <= 0:
             raise ParameterError(f"e_c must be positive, got {self.e_c}")
         if self.charge_offset not in (0.0, 0.5):

@@ -9,7 +9,8 @@ round-trip) and all orderings are fixed.
 
 Exit codes: 0 ok, 1 selftest failure, 2 config error, 3 solver
 non-convergence (includes asking for fluctuations in the normal phase),
-4 truncation non-convergence, 5 internal numerical error.
+4 truncation non-convergence, 5 internal numerical error (also any
+unexpected exception, reported on one ``internal error:`` line).
 """
 
 from __future__ import annotations
@@ -217,9 +218,11 @@ def cmd_converge(args) -> int:
 
     sweep = correlators.convergence_sweep(params, word, sol, n_list)
     w_rows = []
-    for n in n_list:
+    # largest sizes first: their tables are the ones the sweep left cached
+    for n in reversed(n_list):
         w_val = correlators.w_expectation(params, n, w_power, w_time)
         w_rows.append((n, w_val.real, w_val.imag, abs(w_val - 1.0)))
+    w_rows.reverse()
 
     out = Path(args.out)
     prov = _provenance("converge", cfg, _gap_provenance("layer", sol))
@@ -234,6 +237,8 @@ def cmd_converge(args) -> int:
             "exponent": sweep.fit.exponent, "amplitude": sweep.fit.amplitude,
             "residual_rms": sweep.fit.residual_rms, "n_points": sweep.fit.n_points,
         },
+        # largest error sector pruning may add to a correlator value
+        "discarded_bound": sweep.discarded_bound,
         # measured approach of <W(t)^m> to 1, reported rather than asserted
         "w_trend": {
             "first_abs_err": w_errs[0], "final_abs_err": w_errs[-1],
@@ -535,6 +540,10 @@ def main(argv=None) -> int:
         return 4
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 5
+    except Exception as exc:  # any other failure is a defect, reported as code 5
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 5
 
 

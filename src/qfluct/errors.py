@@ -7,6 +7,8 @@ non-convergence flavours are kept apart because they call for different
 remedies (solver settings vs. basis size).
 """
 
+import math
+
 
 class QfluctError(Exception):
     """Base class for everything raised on purpose by this package."""
@@ -34,3 +36,10 @@ class TruncationError(QfluctError):
 
 class NumericalError(QfluctError):
     """Internal numerical failure (quadrature or eigensolver)."""
+
+
+def require_finite(**values) -> None:
+    """Raise ``ParameterError`` naming the first value that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")

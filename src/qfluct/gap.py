@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, SolverError
+from .errors import ParameterError, SolverError, require_finite
 
 __all__ = [
     "GapSolution",
@@ -64,9 +64,7 @@ def solve_gap(epsilon: float, t_c: float, beta: float, tol: float = 1e-12,
     root in omega is bracketed first, then polished by Newton steps that are
     never allowed to leave the bracket, until ``|residual| <= tol``.
     """
-    for name, value in (("epsilon", epsilon), ("t_c", t_c), ("beta", beta)):
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value!r}")
+    require_finite(epsilon=epsilon, t_c=t_c, beta=beta)
     if t_c <= 0 or beta <= 0 or epsilon < 0:
         raise ParameterError(
             f"need t_c > 0, beta > 0, epsilon >= 0; got {t_c}, {beta}, {epsilon}"

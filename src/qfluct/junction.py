@@ -27,7 +27,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from .circle import ChargeBasisTruncation, CircuitParams, propagator
 from .correlators import FluctuationWord, _flat_table, correlation_finite_n
-from .errors import NormalPhaseError, ParameterError, ParityError, TruncationError
+from .errors import (NormalPhaseError, ParameterError, ParityError, TruncationError,
+                     require_finite)
 from .gap import josephson_energy, solve_gap
 from .quadrature import chain_dyson
 from .sectors import ModelParams, ladder_coefficient
@@ -62,8 +63,9 @@ class JunctionParams:
     beta: float
 
     def __post_init__(self):
-        if self.beta <= 0 or not math.isfinite(self.beta):
-            raise ParameterError(f"beta must be positive and finite, got {self.beta}")
+        require_finite(lam=self.lam, e_c=self.e_c, n_g=self.n_g, beta=self.beta)
+        if self.beta <= 0:
+            raise ParameterError(f"beta must be positive, got {self.beta}")
         if self.e_c < 0:
             raise ParameterError("e_c must be non-negative")
 

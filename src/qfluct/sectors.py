@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .errors import ParameterError, ParityError
+from .errors import ParameterError, ParityError, require_finite
 
 __all__ = [
     "ModelParams",
@@ -55,10 +55,7 @@ class ModelParams:
     mu: float = 0.0
 
     def __post_init__(self):
-        for name in ("epsilon", "t_c", "beta", "mu"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value!r}")
+        require_finite(epsilon=self.epsilon, t_c=self.t_c, beta=self.beta, mu=self.mu)
         if self.t_c <= 0:
             raise ParameterError(f"t_c must be positive, got {self.t_c}")
         if self.beta <= 0:
@@ -68,16 +65,18 @@ class ModelParams:
 
 
 def _check_spin(n_spins: int, s) -> None:
+    """Validate one spin label, or every element of an array of them."""
     if n_spins < 1 or int(n_spins) != n_spins:
         raise ParameterError(f"n_spins must be a positive integer, got {n_spins!r}")
-    two_s = 2 * s
-    if abs(two_s - round(two_s)) > 1e-9:
-        raise ParityError(f"s={s} is not integer or half-integer")
-    two_s = round(two_s)
-    if two_s < 0 or two_s > n_spins:
-        raise ParameterError(f"s={s} outside [0, N/2] for N={n_spins}")
-    if (n_spins - two_s) % 2 != 0:
-        raise ParityError(f"s={s} has wrong parity for N={n_spins}")
+    s = np.asarray(s, dtype=float)
+    two_s = np.rint(2 * s)
+    for bad, error, reason in (
+        (np.abs(2 * s - two_s) > 1e-9, ParityError, "is not integer or half-integer"),
+        ((two_s < 0) | (two_s > n_spins), ParameterError, f"outside [0, N/2] for N={n_spins}"),
+        ((n_spins - two_s) % 2 != 0, ParityError, f"has wrong parity for N={n_spins}"),
+    ):
+        if bad.any():
+            raise error(f"s={s[bad].flat[0]} {reason}")
 
 
 @dataclass(frozen=True)
@@ -116,16 +115,15 @@ def multiplicity(n_spins: int, s) -> int:
     return d
 
 
-def log_multiplicity(n_spins: int, s) -> float:
-    """``log d(s)``, safe for spin counts where ``d(s)`` overflows floats."""
+def log_multiplicity(n_spins: int, s):
+    """``log d(s)``, safe for spin counts where ``d(s)`` overflows floats.
+    ``s`` broadcasts as an array; a scalar label gives a float."""
     _check_spin(n_spins, s)
-    k = (n_spins - round(2 * s)) // 2
+    k = (n_spins - np.rint(2 * np.asarray(s, dtype=float))) // 2
     log_c = gammaln(n_spins + 1) - gammaln(k + 1) - gammaln(n_spins - k + 1)
-    if k >= 1:
-        # C(N, k-1)/C(N, k) = k/(N-k+1) < 1, so log1p is well defined
-        ratio = k / (n_spins - k + 1)
-        log_c += math.log1p(-ratio)
-    return float(log_c)
+    # C(N, k-1)/C(N, k) = k/(N-k+1) < 1, so log1p is well defined (0 at k = 0)
+    log_c = log_c + np.log1p(-k / (n_spins - k + 1))
+    return float(log_c) if log_c.ndim == 0 else log_c
 
 
 def sector_energy(params: ModelParams, label: SectorLabel) -> float:
@@ -138,50 +136,79 @@ def sector_energy(params: ModelParams, label: SectorLabel) -> float:
     return -2.0 * params.epsilon * sz - (2.0 * params.t_c / label.n_spins) * pair
 
 
-def _eta_array(params: ModelParams, n_spins: int, s: float, sz: np.ndarray) -> np.ndarray:
+def _eta_array(params: ModelParams, n_spins: int, s, sz: np.ndarray) -> np.ndarray:
     pair = s * (s + 1.0) - sz * (sz - 1.0)
     return -2.0 * params.epsilon * sz - (2.0 * params.t_c / n_spins) * pair
 
 
+# Table entries whose log-weight falls more than this below the table's
+# largest one are dropped.  Each dropped entry carries normalized weight
+# below exp(-_LOG_MARGIN) = 3.7e-44, so even the (N/2+1)^2 entries of
+# N = 2^17 leave at most 1.6e-34 of the mass out.
+_LOG_MARGIN = 100.0
+
+
 @dataclass(frozen=True)
 class SectorRow:
-    """All ``s_z`` entries of one total-spin sector (``s_z`` ascending)."""
+    """The kept ``s_z`` entries of one total-spin sector (``s_z`` ascending
+    and contiguous); ``sz`` is a view into the table's flat arrays."""
 
+    n_spins: int
     s: int
-    degeneracy: int
     log_degeneracy: float
     sz: np.ndarray
     eta: np.ndarray
     log_rho: np.ndarray
 
+    @property
+    def degeneracy(self) -> int:
+        """Exact ``d(s)``; a big integer at large N, so only computed on
+        request (JSON export, small-N oracles)."""
+        return multiplicity(self.n_spins, self.s)
+
 
 @dataclass(frozen=True)
 class SectorTable:
-    """Thermal weight table for ``n_spins`` quasi-spins.
+    """Thermal weight table for ``n_spins`` quasi-spins, restricted to its
+    thermal support.
 
-    ``rows`` are ordered by descending ``s``; inside a row ``s_z`` ascends.
-    ``log_rho`` is the per-copy Boltzmann weight, i.e. the normalization is
-    ``sum_s d(s) sum_sz rho(s, s_z) = 1``.
+    The flat arrays ``s``, ``sz`` and ``log_w`` list the kept entries by
+    descending ``s`` and, inside a sector, contiguous ascending ``s_z``.
+    ``log_w = log d(s) + log rho(s, s_z)`` absorbs the multiplicity, and
+    ``rho`` is the per-copy Boltzmann weight normalized over the kept
+    entries.  The dropped entries together carry at most
+    ``discarded_bound`` of the normalized weight.
     """
 
+    params: ModelParams
     n_spins: int
     log_partition: float
-    rows: tuple
+    s: np.ndarray
+    sz: np.ndarray
+    log_w: np.ndarray
+    discarded_bound: float
 
     def flat(self):
-        """Flattened ``(s, s_z, log_weight)`` arrays over all labels, where
-        ``log_weight = log d(s) + log rho(s, s_z)`` absorbs the multiplicity.
-        Row order matches the table and is fixed, so reductions over these
-        arrays are deterministic.
-        """
-        s = np.concatenate([np.full(row.sz.shape, float(row.s)) for row in self.rows])
-        sz = np.concatenate([row.sz for row in self.rows])
-        log_w = np.concatenate([row.log_degeneracy + row.log_rho for row in self.rows])
-        return s, sz, log_w
+        """The ``(s, s_z, log_weight)`` arrays over all kept labels.  Their
+        order is fixed, so reductions over them are deterministic."""
+        return self.s, self.sz, self.log_w
+
+    @property
+    def rows(self) -> tuple:
+        """One ``SectorRow`` per kept sector, built on each access."""
+        cuts = np.flatnonzero(np.diff(self.s)) + 1
+        row_s = self.s[np.concatenate(([0], cuts))]
+        log_d = log_multiplicity(self.n_spins, row_s)
+        rows = []
+        for s, log_d_s, sz in zip(row_s, log_d, np.split(self.sz, cuts)):
+            eta = _eta_array(self.params, self.n_spins, s, sz)
+            rows.append(SectorRow(
+                n_spins=self.n_spins, s=int(s), log_degeneracy=float(log_d_s), sz=sz,
+                eta=eta, log_rho=-self.params.beta * eta - self.log_partition))
+        return tuple(rows)
 
     def normalization(self) -> float:
-        _, _, log_w = self.flat()
-        return float(np.exp(logsumexp(log_w)))
+        return float(np.exp(logsumexp(self.log_w)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -205,38 +232,52 @@ class SectorTable:
 
 
 def boltzmann_table(params: ModelParams, n_spins: int) -> SectorTable:
-    """Build the thermal sector table at inverse temperature ``params.beta``.
+    """Build the thermal sector table at inverse temperature ``params.beta``,
+    keeping the entries within ``_LOG_MARGIN`` of the largest log-weight.
 
-    Only even spin counts are supported (Cooper-pair convention); odd ones
-    are rejected rather than silently shifted.  The log partition function
-    is accumulated with ``logsumexp`` so the table is overflow-free for any
+    ``-beta * eta`` is a concave quadratic in ``s_z`` with its vertex at
+    ``eps N / (2 T_c) + 1/2`` and curvature ``2 beta T_c / N`` in every
+    sector, so each sector's largest entry and kept ``s_z`` interval follow
+    in closed form and the cost is linear in the kept entries.  Only even
+    spin counts are supported (Cooper-pair convention); odd ones are
+    rejected rather than silently shifted.  The log partition function is
+    accumulated with ``logsumexp`` so the table is overflow-free for any
     ``beta * eta``.
     """
     if n_spins < 2 or n_spins % 2 != 0:
         raise ParityError(f"n_spins must be even and >= 2, got {n_spins}")
 
-    s_values = range(n_spins // 2, -1, -1)
-    raw = []
-    for s in s_values:
-        sz = np.arange(-s, s + 1, dtype=float)
-        eta = _eta_array(params, n_spins, float(s), sz)
-        raw.append((s, log_multiplicity(n_spins, s), sz, eta))
+    s = np.arange(n_spins // 2, -1, -1, dtype=float)
+    log_d = log_multiplicity(n_spins, s)
+    vertex = params.epsilon * n_spins / (2.0 * params.t_c) + 0.5
+    curvature = 2.0 * params.beta * params.t_c / n_spins
+    best = np.clip(np.rint(vertex), -s, s)
+    row_max = log_d - params.beta * _eta_array(params, n_spins, s, best)
+    floor = np.max(row_max) - _LOG_MARGIN
+    # log-weight = row_max + curvature * ((best - vertex)^2 - (s_z - vertex)^2);
+    # the 1e-9 slack only ever keeps an entry more
+    half = np.sqrt(np.maximum(row_max - floor, 0.0) / curvature + (best - vertex) ** 2)
+    lo = np.maximum(-s, np.ceil(vertex - half - 1e-9))
+    hi = np.minimum(s, np.floor(vertex + half + 1e-9))
+    count = np.where(row_max >= floor, hi - lo + 1.0, 0.0).astype(np.int64)
 
-    log_terms = np.concatenate([log_d - params.beta * eta for s, log_d, _, eta in raw])
-    log_z = float(logsumexp(log_terms))
-
-    rows = tuple(
-        SectorRow(
-            s=s,
-            degeneracy=multiplicity(n_spins, s),
-            log_degeneracy=log_d,
-            sz=sz,
-            eta=eta,
-            log_rho=-params.beta * eta - log_z,
-        )
-        for s, log_d, sz, eta in raw
+    # in place where possible: at N = 2^17 each array is 4.6M entries
+    s_flat = np.repeat(s, count)
+    sz = np.repeat(lo - (np.cumsum(count) - count), count)
+    sz += np.arange(sz.size)
+    log_w = _eta_array(params, n_spins, s_flat, sz)
+    log_w *= -params.beta
+    log_w += np.repeat(log_d, count)
+    # logsumexp by hand: scipy's holds five temporaries of this size
+    top = float(np.max(log_w))
+    shifted = log_w - top
+    log_z = top + math.log(float(np.sum(np.exp(shifted, out=shifted))))
+    log_w -= log_z
+    dropped = (n_spins // 2 + 1) ** 2 - s_flat.size
+    return SectorTable(
+        params=params, n_spins=n_spins, log_partition=log_z, s=s_flat, sz=sz, log_w=log_w,
+        discarded_bound=dropped * math.exp(-_LOG_MARGIN),
     )
-    return SectorTable(n_spins=n_spins, log_partition=log_z, rows=rows)
 
 
 def ladder_coefficient(s, s_z, k: int):

@@ -293,3 +293,11 @@ def test_state_json_roundtrip():
     doc = json.loads(state.to_json())
     assert doc["n_max"] == 3
     assert doc["amplitudes"][trunc.index_of(1)] == [0.0, 0.8]
+
+
+@pytest.mark.parametrize("field", ["e_c", "e_j", "n_g", "charge_offset"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_circuit_params_reject_non_finite(field, value):
+    fields = {"e_c": 1.0, "e_j": 0.2, "n_g": 0.3, "charge_offset": 0.0, field: value}
+    with pytest.raises(ParameterError):
+        circle.CircuitParams(**fields)

@@ -204,3 +204,22 @@ def test_selftest_catches_corrupted_multiplicity(monkeypatch, capsys):
     monkeypatch.setattr(sectors, "multiplicity", corrupted)
     assert cli.main(["selftest"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_converge_reports_discarded_bound(tmp_path):
+    code, out = run(tmp_path, "converge",
+                    {"epsilon": 0.0, "t_c": 1.0, "beta": 2.0,
+                     "word": [[0.0, 1, 1]], "n_list": [64, 128, 256, 512]})
+    assert code == 0
+    fit = json.loads((out / "converge_fit.json").read_text())
+    assert 0.0 < fit["discarded_bound"] < 1e-30
+
+
+def test_unexpected_exception_exits_5(monkeypatch, capsys):
+    def broken(args):
+        raise ValueError("not a qfluct error\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_gap", broken)
+    assert cli.main(["gap"]) == 5
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["internal error: ValueError: not a qfluct error second line"]

@@ -229,3 +229,34 @@ def test_pair_expectation_approaches_squared_gap():
     errs = [abs(correlators.pair_expectation(params, n) - sol.delta**2)
             for n in (64, 256, 1024)]
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_table_cache_is_bounded(monkeypatch):
+    built = []
+
+    def counting(params, n_spins):
+        built.append(n_spins)
+        return sectors.boltzmann_table(params, n_spins)
+
+    monkeypatch.setattr(correlators, "boltzmann_table", counting)
+    correlators._cached_table.cache_clear()
+    sizes = [2 * k for k in range(1, correlators._TABLE_CACHE_SIZE + 5)]
+    correlators.convergence_sweep(PARAMS, word([[0.0, 1, 1]]), SOL, sizes)
+    assert built == sizes  # one build per size, none for the reported bound
+    assert correlators._cached_table.cache_info().currsize == correlators._TABLE_CACHE_SIZE
+    correlators.pair_expectation(PARAMS, sizes[-1])
+    assert built == sizes
+
+
+def test_convergence_sweep_reports_pruning_bound():
+    params = sectors.ModelParams(epsilon=0.0, t_c=1.0, beta=2.0)
+    sol = gap.solve_gap(0.0, 1.0, 2.0)
+    sizes = [256, 512, 1024, 2048]
+    sweep = correlators.convergence_sweep(params, word([[0.0, 1, 1]]), sol, sizes)
+    dropped = max(sectors.boltzmann_table(params, n).discarded_bound for n in sizes)
+    assert sweep.discarded_bound == 2.0 * dropped * sol.c**-2
+    assert 0.0 < sweep.discarded_bound < 1e-30
+    # pure-phase and unbalanced words are exact without a sector sum
+    for triples in ([[0.3, 0, 0]], [[0.0, 0, 1]]):
+        assert correlators.convergence_sweep(params, word(triples), sol,
+                                             sizes).discarded_bound == 0.0

@@ -305,3 +305,12 @@ def test_two_layer_correlator_vs_dense():
         fast = junction.two_layer_correlator(PARAMS, 2, left, right, gaps=GAPS)
         slow = oracle.word_expectation(left, right)
         assert fast == pytest.approx(slow, abs=1e-12)
+
+
+@pytest.mark.parametrize("field", ["lam", "e_c", "n_g", "beta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_junction_params_reject_non_finite(field, value):
+    fields = {"left": PARAMS.left, "right": PARAMS.right, "lam": 0.8, "e_c": 0.5,
+              "n_g": 0.25, "beta": 2.0, field: value}
+    with pytest.raises(ParameterError):
+        junction.JunctionParams(**fields)

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from qfluct import dense, sectors
+from qfluct import correlators, dense, gap, sectors
 from qfluct.errors import ParameterError, ParityError
 
 
@@ -188,3 +189,97 @@ def test_sector_label_validation():
         sectors.SectorLabel(n_spins=4, s=1, s_z=2)
     with pytest.raises(ParityError):
         sectors.SectorLabel(n_spins=4, s=1, s_z=0.5)
+
+
+# Balanced words of one, two and three raise/lower pairs, with phases.
+PRUNING_WORDS = [
+    [[0.0, 1, 1]],
+    [[0.7, 0, 1], [-1.1, 2, 1]],
+    [[0.2, 0, 2], [1.3, 2, 1], [-0.4, 1, 0]],
+]
+
+
+def _unpruned(params, n):
+    """Every (s, s_z) label of the table with its normalized log-weight,
+    normalized over all (N/2+1)^2 entries.  Labels whose weight underflows
+    to 0.0 are left out, since they add exactly 0.0 to every sum."""
+    rows = np.arange(n // 2, -1, -1)
+    width = 2 * rows + 1
+    s = np.repeat(rows.astype(float), width)
+    sz = -s + (np.arange(s.size) - np.repeat(np.cumsum(width) - width, width))
+    eta = (-2.0 * params.epsilon * sz
+           - (2.0 * params.t_c / n) * (s * (s + 1.0) - sz * (sz - 1.0)))
+    log_w = np.repeat(sectors.log_multiplicity(n, rows), width) - params.beta * eta
+    log_w -= logsumexp(log_w)
+    keep = np.exp(log_w) > 0.0
+    return s[keep], sz[keep], log_w[keep]
+
+
+def _walk(s, sz, triples):
+    """Product of the ladder amplitudes of a word, rightmost factor first."""
+    amp = np.ones_like(sz)
+    cur = sz.copy()
+    for _, n_low, m_raise in reversed(triples):
+        for step, count in ((1.0, m_raise), (-1.0, n_low)):
+            for _ in range(count):
+                amp *= np.sqrt(np.maximum(s * (s + 1.0) - cur * (cur + step), 0.0))
+                cur += step
+    return amp
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+@pytest.mark.parametrize("epsilon,beta", [(0.0, 1.2), (0.0, 2.0), (0.0, 40.0),
+                                          (0.4, 1.2), (0.4, 2.0), (0.4, 40.0)])
+def test_pruned_table_matches_unpruned_sum(n, epsilon, beta):
+    params = sectors.ModelParams(epsilon=epsilon, t_c=1.0, beta=beta, mu=0.3)
+    sol = gap.solve_gap(epsilon, 1.0, beta)
+    s, sz, log_w = _unpruned(params, n)
+    weight = np.exp(log_w)
+    got, want = [], []
+    for triples in PRUNING_WORDS:
+        w = correlators.FluctuationWord.from_triples(triples)
+        scale = (sol.c * n) ** -(w.total_m + w.total_n)
+        got.append(correlators.correlation_finite_n(params, n, w, sol))
+        want.append(np.exp(1j * w.phase()) * np.sum(weight * _walk(s, sz, triples)) * scale)
+    got.append(correlators.w_expectation(params, n, 2, 0.7))
+    want.append(np.exp(2.8j * epsilon) * np.sum(weight * np.exp(-5.6j * sz / n)))
+    got.append(correlators.pair_expectation(params, n))
+    want.append(np.sum(weight * (s * (s + 1.0) - sz * (sz - 1.0))) / n**2)
+    got.append(correlators.single_layer_evolution_element(params, n, 1, 1, 0.9, sol))
+    d_eta = -2.0 * epsilon + (2.0 / n) * ((sz + 1) * sz - sz * (sz - 1.0))
+    want.append(np.exp(-0.54j) * np.sum(weight * _walk(s, sz, [[0.0, 0, 1]]) ** 2
+                                        * np.exp(-0.9j * d_eta)) / (sol.c * n) ** 2)
+    for a, b in zip(got, want):
+        assert abs(a - b) <= 1e-12 * abs(b)
+
+    table = sectors.boltzmann_table(params, n)
+    assert table.discarded_bound <= 1e-30
+    if n >= 1024:
+        # near T_c (beta = 1.2) the support is wider but still linear in N:
+        # 233 N at N = 4096 and 197 N at N = 16384
+        assert table.s.size <= (40 if beta >= 2.0 else 250) * n
+
+
+def test_pruned_table_layout():
+    params = sectors.ModelParams(epsilon=0.4, t_c=1.0, beta=2.0)
+    table = sectors.boltzmann_table(params, 4096)
+    s, sz, _ = table.flat()
+    assert np.all(np.diff(s) <= 0)
+    rows = table.rows
+    assert [row.s for row in rows] == sorted({int(x) for x in s}, reverse=True)
+    assert sum(row.sz.size for row in rows) == s.size
+    for row in rows:
+        assert np.all(np.diff(row.sz) == 1)
+        assert -row.s <= row.sz[0] and row.sz[-1] <= row.s
+    dropped = (4096 // 2 + 1) ** 2 - s.size
+    assert table.discarded_bound == dropped * math.exp(-sectors._LOG_MARGIN)
+
+
+def test_degeneracy_on_demand_matches_binomials():
+    params = sectors.ModelParams(epsilon=0.4, t_c=1.0, beta=2.0)
+    for n in range(2, 41, 2):
+        table = sectors.boltzmann_table(params, n)
+        assert table.discarded_bound == 0.0
+        for row in table.rows:
+            k = n // 2 - row.s
+            assert row.degeneracy == math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
