@@ -21,7 +21,6 @@ unitary shift ``phi -> phi + pi``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -120,13 +119,6 @@ class CircleState:
     def normalized(self) -> bool:
         return abs(self.norm - 1.0) < 1e-10
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "n_max": self.trunc.n_max,
-            "charge_offset": self.trunc.charge_offset,
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
-        })
-
 
 def build_momentum(trunc: ChargeBasisTruncation) -> np.ndarray:
     """Diagonal momentum matrix p|n> = n|n>."""
@@ -190,7 +182,7 @@ def _charging_phase(params: CircuitParams, grid: np.ndarray, t: float) -> np.nda
 
 
 def dyson_circle(params: CircuitParams, trunc: ChargeBasisTruncation, t: float,
-                 order: int, tol: float = 1e-10) -> np.ndarray:
+                 order: int) -> np.ndarray:
     """Time-ordered perturbative propagator D_K(t) ~ U(t) U_0(t)^dag, the
     hopping term treated as the perturbation of the charging parabola.
 
@@ -213,17 +205,16 @@ def dyson_circle(params: CircuitParams, trunc: ChargeBasisTruncation, t: float,
     diag = params.e_c * (trunc.grid() - params.n_g) ** 2
     hop = np.full(trunc.dim - 1, 0.5 * params.e_j)
     sites = np.arange(trunc.dim)[None, :]
-    return chain_dyson(diag[None, :], hop[None, :], sites, sites, t, order,
-                       tol=tol)[0].T
+    return chain_dyson(diag[None, :], hop[None, :], sites, sites, t, order)[0].T
 
 
 def dyson_defect(params: CircuitParams, trunc: ChargeBasisTruncation, t: float,
-                 order: int, tol: float = 1e-10):
+                 order: int):
     """Measured spectral-norm defect ``||U(t) - D_K(t) U_0(t)||`` together
     with the factorial bound it must respect."""
     u_exact = propagator(params, trunc, t)
     u_free = np.diag(_charging_phase(params, trunc.grid(), t))
-    d_k = dyson_circle(params, trunc, t, order, tol=tol)
+    d_k = dyson_circle(params, trunc, t, order)
     defect = float(np.linalg.norm(u_exact - d_k @ u_free, 2))
     bound = (abs(params.e_j) * abs(t)) ** (order + 1) / math.factorial(order + 1)
     return defect, bound

@@ -354,7 +354,7 @@ def cmd_junction(args) -> int:
 
     deviations, bound = junction.dyson_junction_defect(
         params, dyson_n, t, order, elements, gaps=gaps,
-        tol=args.tol if args.tol else 1e-10)
+        tol=args.tol)
     _write_csv(out / "dyson_report.csv", prov,
                ["N", "K", "t", "bound", "measured_max_abs_dev"],
                [(dyson_n, order, t, bound, max(deviations.values()))])
@@ -474,8 +474,6 @@ def _selftest_junction(tol: float, report) -> bool:
 
 
 def cmd_selftest(args) -> int:
-    tol = args.tol if args.tol else 1e-10
-
     failures = []
 
     def report(name: str, deviation: float, threshold: float) -> bool:
@@ -486,9 +484,9 @@ def cmd_selftest(args) -> int:
             failures.append(name)
         return passed
 
-    _selftest_sectors(tol, report)
-    _selftest_correlators(tol, report)
-    _selftest_junction(tol, report)
+    _selftest_sectors(args.tol, report)
+    _selftest_correlators(args.tol, report)
+    _selftest_junction(args.tol, report)
 
     if failures:
         print(f"selftest: {len(failures)} check(s) failed")
@@ -498,6 +496,13 @@ def cmd_selftest(args) -> int:
 
 
 # --------------------------------------------------------------------- main
+
+def _tolerance(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -516,11 +521,14 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for name, (func, help_text) in specs.items():
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", default=None, help="JSON config file")
-        cmd.add_argument("--out", default="out", help="output directory")
+        if name != "selftest":  # the oracle suite reads no config, writes no files
+            cmd.add_argument("--config", default=None, help="JSON config file")
+            cmd.add_argument("--out", default="out", help="output directory")
         cmd.add_argument("--workers", type=int, default=1,
                          help="ignored; every run is serial")
-        cmd.add_argument("--tol", type=float, default=None, help="tolerance override")
+        if name in ("junction", "selftest"):
+            cmd.add_argument("--tol", type=_tolerance, default=1e-10,
+                             help="tolerance, finite and > 0 (default 1e-10)")
         cmd.set_defaults(func=func)
     return parser
 

@@ -25,16 +25,15 @@ exposed here as ``mesoscopic_prediction`` so convergence can be measured.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormalPhaseError, ParameterError, ParityError
-from .fitting import PowerLawFit, fit_power_law
+from .errors import NormalPhaseError, ParameterError
+from .fitting import MIN_POINTS, PowerLawFit, fit_power_law
 from .gap import GapSolution
-from .sectors import ModelParams, boltzmann_table
+from .sectors import ModelParams, check_spin_count, thermal_table
 
 __all__ = [
     "WordFactor",
@@ -116,21 +115,6 @@ def mesoscopic_prediction(word: FluctuationWord) -> MesoscopicPrediction:
     return MesoscopicPrediction(cmath.exp(1j * word.phase()))
 
 
-# Sector tables are immutable and reused across words and sweeps; the
-# least recently used one goes once this many are held (a table holds
-# about 35 N entries of 24 bytes).
-_TABLE_CACHE_SIZE = 8
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _cached_table(epsilon: float, t_c: float, beta: float, n_spins: int):
-    return boltzmann_table(ModelParams(epsilon, t_c, beta), n_spins)
-
-
-def _flat_table(params: ModelParams, n_spins: int):
-    return _cached_table(params.epsilon, params.t_c, params.beta, n_spins).flat()
-
-
 def _require_gap(gap: GapSolution) -> float:
     if gap.c <= 0.0:
         raise NormalPhaseError(
@@ -164,31 +148,26 @@ def _ladder_walk(s: np.ndarray, sz: np.ndarray, word: FluctuationWord):
 
 
 def correlation_finite_n(params: ModelParams, n_spins: int, word: FluctuationWord,
-                         gap: GapSolution, force_numeric: bool = False) -> complex:
+                         gap: GapSolution) -> complex:
     """Exact thermal-vacuum expectation of a fluctuation word at size N.
 
     Unbalanced words (total raising != total lowering) vanish identically by
     orthogonality of the magnetic quantum numbers; the zero is asserted
     rather than computed so that floating-point dust is never reported as
-    signal.  ``force_numeric`` overrides this for oracle tests (the sector
-    walk then returns the same exact zero, just summed numerically).
+    signal.
     """
-    if n_spins % 2 != 0:
-        raise ParityError(f"n_spins must be even, got {n_spins}")
+    check_spin_count(n_spins)
     c = _require_gap(gap)
 
     total = word.total_m + word.total_n
     if total == 0:
         # p annihilates the thermal vacuum, so pure-phase words are exactly 1
         return 1.0 + 0.0j
-    if word.total_m != word.total_n and not force_numeric:
+    if word.total_m != word.total_n:
         return 0.0j
 
-    s, sz, log_w = _flat_table(params, n_spins)
+    s, sz, log_w = thermal_table(params, n_spins).flat()
     log_amp, alive = _ladder_walk(s, sz, word)
-    if word.total_m != word.total_n:
-        # open walks never return to the diagonal
-        return 0.0j
     log_scale = total * math.log(c * n_spins)
     terms = np.where(alive, np.exp(log_w + log_amp - log_scale), 0.0)
     return cmath.exp(1j * word.phase()) * float(np.sum(terms))
@@ -218,13 +197,13 @@ class ConvergenceResult:
 def convergence_sweep(params: ModelParams, word: FluctuationWord, gap: GapSolution,
                       n_list) -> ConvergenceResult:
     """Evaluate a word over a list of sizes and fit the decay of the error
-    toward the large-N prediction.  The fit needs at least 4 sizes with a
-    strictly positive error; identically-zero errors (off-diagonal or pure
-    phase words) leave ``fit`` as None.
+    toward the large-N prediction.  The fit needs at least ``MIN_POINTS``
+    sizes with a strictly positive error; identically-zero errors
+    (off-diagonal or pure phase words) leave ``fit`` as None.
     """
     n_list = [int(n) for n in n_list]
-    if any(n % 2 for n in n_list):
-        raise ParityError("all sweep sizes must be even")
+    for n in n_list:
+        check_spin_count(n)
     target = mesoscopic_prediction(word).value
 
     steps = word.total_m + word.total_n
@@ -233,14 +212,13 @@ def convergence_sweep(params: ModelParams, word: FluctuationWord, gap: GapSoluti
     for n in n_list:
         values.append(correlation_finite_n(params, n, word, gap))
         if walks:  # the table the walk just used, still cached
-            table = _cached_table(params.epsilon, params.t_c, params.beta, n)
-            dropped = max(dropped, table.discarded_bound)
+            dropped = max(dropped, thermal_table(params, n).discarded_bound)
     bound = 2.0 * dropped * _require_gap(gap) ** -steps if walks else 0.0
 
     errors = [abs(v - target) for v in values]
     fit = None
     positive = [e for e in errors if e > 0]
-    if len(positive) >= 4:
+    if len(positive) >= MIN_POINTS:
         fit = fit_power_law(
             [n for n, e in zip(n_list, errors) if e > 0], positive
         )
@@ -261,8 +239,7 @@ def single_layer_evolution_element(params: ModelParams, n_spins: int, n: int,
     sum of squared ladder amplitudes dephased by the spectral gaps, times
     the chemical-potential phase ``exp(-2 i mu t m)``.
     """
-    if n_spins % 2 != 0:
-        raise ParityError(f"n_spins must be even, got {n_spins}")
+    check_spin_count(n_spins)
     if n < 0 or m < 0:
         raise ParameterError("excitation numbers must be non-negative")
     c = _require_gap(gap)
@@ -271,7 +248,7 @@ def single_layer_evolution_element(params: ModelParams, n_spins: int, n: int,
     if m == 0:
         return 1.0 + 0.0j  # the thermal vacuum is invariant
 
-    s, sz, log_w = _flat_table(params, n_spins)
+    s, sz, log_w = thermal_table(params, n_spins).flat()
     word = FluctuationWord.from_triples([(0.0, 0, m)])
     log_amp, alive = _ladder_walk(s, sz, word)
 
@@ -296,11 +273,10 @@ def w_expectation(params: ModelParams, n_spins: int, m: int, t: float) -> comple
     exact sector sum.  In the superconducting phase ``<S_z>/N`` approaches
     ``eps / (2 T_c)``, so the expectation approaches 1.
     """
-    if n_spins % 2 != 0:
-        raise ParityError(f"n_spins must be even, got {n_spins}")
+    check_spin_count(n_spins)
     if m == 0 or t == 0.0:
         return 1.0 + 0.0j
-    _, sz, log_w = _flat_table(params, n_spins)
+    _, sz, log_w = thermal_table(params, n_spins).flat()
     phases = np.exp(-4j * m * params.t_c * t * sz / n_spins)
     total = complex(np.sum(np.exp(log_w) * phases))
     return cmath.exp(2j * m * params.epsilon * t) * total
@@ -309,9 +285,8 @@ def w_expectation(params: ModelParams, n_spins: int, m: int, t: float) -> comple
 def pair_expectation(params: ModelParams, n_spins: int) -> float:
     """Exact ``<S_+ S_->/N^2``; its large-N limit is the squared gap
     modulus (the phase average wipes out everything but |<sigma_+>|^2)."""
-    if n_spins % 2 != 0:
-        raise ParityError(f"n_spins must be even, got {n_spins}")
-    s, sz, log_w = _flat_table(params, n_spins)
+    check_spin_count(n_spins)
+    s, sz, log_w = thermal_table(params, n_spins).flat()
     pair = s * (s + 1.0) - sz * (sz - 1.0)
     # pair >= 0; accumulate in the log domain against the weights
     safe = np.where(pair > 0.0, pair, 1.0)

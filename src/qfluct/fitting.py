@@ -8,7 +8,10 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["PowerLawFit", "fit_power_law"]
+__all__ = ["MIN_POINTS", "PowerLawFit", "fit_power_law"]
+
+# fewest positive points a power-law fit accepts
+MIN_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -21,19 +24,19 @@ class PowerLawFit:
     n_points: int
 
 
-def fit_power_law(x, y, min_points: int = 4) -> PowerLawFit:
+def fit_power_law(x, y) -> PowerLawFit:
     """Fit ``log y = log A + p log x`` by least squares.
 
     Points with non-positive ``y`` carry no information on a log scale and
-    are dropped; at least ``min_points`` must survive.
+    are dropped; at least ``MIN_POINTS`` must survive.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     keep = (y > 0) & (x > 0)
     x, y = x[keep], y[keep]
-    if x.size < min_points:
+    if x.size < MIN_POINTS:
         raise ParameterError(
-            f"power-law fit needs >= {min_points} positive points, got {x.size}"
+            f"power-law fit needs >= {MIN_POINTS} positive points, got {x.size}"
         )
     lx, ly = np.log(x), np.log(y)
     coeffs, *_ = np.polynomial.polynomial.polyfit(lx, ly, 1, full=True)

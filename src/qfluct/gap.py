@@ -51,18 +51,22 @@ class GapSolution:
     normal_residual: float
 
 
+# Newton polishing stops at |residual| <= _TOL, and fails after _MAX_ITER steps
+_TOL = 1e-12
+_MAX_ITER = 200
+
+
 def _consistency_residual(omega: float, t_c: float, beta: float) -> float:
     return omega / t_c - math.tanh(beta * omega)
 
 
-def solve_gap(epsilon: float, t_c: float, beta: float, tol: float = 1e-12,
-              max_iter: int = 200, phase: float = 0.0) -> GapSolution:
+def solve_gap(epsilon: float, t_c: float, beta: float, phase: float = 0.0) -> GapSolution:
     """Solve the consistency condition for the gap modulus.
 
     Returns the Delta > 0 solution when one exists (superconducting phase),
     otherwise Delta = 0 with ``converged`` still true (normal phase).  The
     root in omega is bracketed first, then polished by Newton steps that are
-    never allowed to leave the bracket, until ``|residual| <= tol``.
+    never allowed to leave the bracket, until ``|residual| <= _TOL``.
     """
     require_finite(epsilon=epsilon, t_c=t_c, beta=beta)
     if t_c <= 0 or beta <= 0 or epsilon < 0:
@@ -95,10 +99,10 @@ def solve_gap(epsilon: float, t_c: float, beta: float, tol: float = 1e-12,
             return normal(iterations)
 
     omega = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         iterations += 1
         r = _consistency_residual(omega, t_c, beta)
-        if abs(r) <= tol:
+        if abs(r) <= _TOL:
             break
         if r < 0.0:  # tanh above the line: root is to the right
             lo = omega
@@ -113,7 +117,7 @@ def solve_gap(epsilon: float, t_c: float, beta: float, tol: float = 1e-12,
         omega = candidate if step_ok else 0.5 * (lo + hi)
     else:
         raise SolverError(
-            f"gap solver did not reach |residual| <= {tol} in {max_iter} iterations"
+            f"gap solver did not reach |residual| <= {_TOL} in {_MAX_ITER} iterations"
         )
 
     if omega <= epsilon:

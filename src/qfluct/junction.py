@@ -26,12 +26,11 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .circle import ChargeBasisTruncation, CircuitParams, propagator
-from .correlators import FluctuationWord, _flat_table, correlation_finite_n
-from .errors import (NormalPhaseError, ParameterError, ParityError, TruncationError,
-                     require_finite)
+from .correlators import FluctuationWord, correlation_finite_n
+from .errors import NormalPhaseError, ParameterError, TruncationError, require_finite
 from .gap import josephson_energy, solve_gap
 from .quadrature import chain_dyson
-from .sectors import ModelParams, ladder_coefficient
+from .sectors import ModelParams, check_spin_count, eta, ladder_coefficient, thermal_table
 
 __all__ = [
     "JunctionParams",
@@ -97,12 +96,6 @@ def _resolve_gaps(params: JunctionParams, gaps):
     return gl, gr
 
 
-def _eta(layer: ModelParams, n_spins: int, s: float, a):
-    a = np.asarray(a, dtype=float)
-    return (-2.0 * layer.epsilon * a
-            - (2.0 * layer.t_c / n_spins) * (s * (s + 1.0) - a * (a - 1.0)))
-
-
 @dataclass(frozen=True)
 class TransitionElement:
     source: tuple
@@ -146,14 +139,14 @@ def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=Non
     log_norm = ((abs(n_l) + abs(n_lp)) * math.log(gl.c * n_spins)
                 + (abs(n_r) + abs(n_rp)) * math.log(gr.c * n_spins))
 
-    s_r, sz_r0, logw_r = _flat_table(pr, n_spins)
+    s_r, sz_r0, logw_r = thermal_table(pr, n_spins).flat()
     amp_r = ladder_coefficient(s_r, sz_r0, n_r) * ladder_coefficient(s_r, sz_r0, n_rp)
     keep = amp_r != 0.0
     if not keep.any():
         return
     s_r, sz_r0, logw_r, amp_r = s_r[keep], sz_r0[keep], logw_r[keep], amp_r[keep]
     col_s_r, col_sz_r0 = s_r[:, None], sz_r0[:, None]
-    for s_l, sz_l0, logw_l in zip(*_flat_table(pl, n_spins)):
+    for s_l, sz_l0, logw_l in zip(*thermal_table(pl, n_spins).flat()):
         amp_l = (ladder_coefficient(s_l, sz_l0, n_l)
                  * ladder_coefficient(s_l, sz_l0, n_lp))
         if amp_l == 0.0:
@@ -163,8 +156,8 @@ def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=Non
         length = np.rint(np.minimum(s_l, charge + s_r) - a_lo).astype(int) + 1
         a = a_lo[:, None] + np.arange(length.max())
         b = charge[:, None] - a
-        diag = ((_eta(pl, n_spins, s_l, a) - _eta(pl, n_spins, s_l, sz_l0))
-                + (_eta(pr, n_spins, col_s_r, b) - _eta(pr, n_spins, col_s_r, col_sz_r0))
+        diag = ((eta(pl, n_spins, s_l, a) - eta(pl, n_spins, s_l, sz_l0))
+                + (eta(pr, n_spins, col_s_r, b) - eta(pr, n_spins, col_s_r, col_sz_r0))
                 + params.e_c * (0.5 * ((a - sz_l0) - (b - col_sz_r0)) - params.n_g) ** 2)
         hop = (params.lam / n_spins**2 * ladder_coefficient(s_l, a[:, :-1], 1)
                * ladder_coefficient(col_s_r, b[:, :-1], -1))
@@ -189,8 +182,7 @@ def evolution_element(params: JunctionParams, n_spins: int, source, target,
     ``n_L + n_R != n_L' + n_R'`` vanish identically and are returned as 0
     without touching the blocks.
     """
-    if n_spins % 2 != 0:
-        raise ParityError(f"n_spins must be even, got {n_spins}")
+    check_spin_count(n_spins)
     source, target = _charge_labels(source, target)
     if sum(source) != sum(target):
         return TransitionElement(source, target, t, 0j)
@@ -207,13 +199,17 @@ def evolution_element(params: JunctionParams, n_spins: int, source, target,
     return TransitionElement(source, target, t, total)
 
 
+# charge window of the circle comparator before its doubling check
+_CIRCLE_N_MAX = 24
+
+
 def circle_element(params: JunctionParams, source, target, t: float,
-                   gaps=None, n_max: int = 24) -> complex:
+                   gaps=None) -> complex:
     """Large-N prediction for a charge-transfer element: the relative
     coordinate lives on an integer or half-integer charge grid selected by
     the parity of the conserved total charge, with Josephson coupling
-    ``2 lambda c_L c_R``.  The truncation is doubled once and must agree to
-    1e-12."""
+    ``2 lambda c_L c_R``.  The truncation ``_CIRCLE_N_MAX`` is doubled once
+    and must agree to 1e-12."""
     if sum(source) != sum(target):
         return 0j
     gl, gr = _resolve_gaps(params, gaps)
@@ -230,10 +226,10 @@ def circle_element(params: JunctionParams, source, target, t: float,
         u = propagator(circuit, trunc, t)
         return complex(u[trunc.index_of(n_out), trunc.index_of(n_in)])
 
-    small, big = one(n_max), one(2 * n_max)
+    small, big = one(_CIRCLE_N_MAX), one(2 * _CIRCLE_N_MAX)
     if abs(small - big) > 1e-12:
         raise TruncationError(
-            f"circle comparator not converged at n_max={n_max}: "
+            f"circle comparator not converged at n_max={_CIRCLE_N_MAX}: "
             f"doubling moved the element by {abs(small - big):.3e}"
         )
     return big
@@ -284,10 +280,9 @@ def dyson_junction(params: JunctionParams, n_spins: int, t: float, order: int,
     position: the shared chain recursion runs once per left-sector batch,
     and ``U_0`` contributes the free and charging phase of the source.
     """
+    check_spin_count(n_spins)
     if order < 0:
         raise ParameterError("order must be >= 0")
-    if n_spins % 2 != 0:
-        raise ParityError(f"n_spins must be even, got {n_spins}")
     gaps = _resolve_gaps(params, gaps)
 
     results = {}

@@ -117,13 +117,14 @@ def chain_dyson(diag, hop, start, ends, t: float, order: int,
     )
 
 
-def ordered_phase_integral(thetas, t: float, tol: float = 1e-10) -> np.ndarray:
+def ordered_phase_integral(thetas, t: float) -> np.ndarray:
     """Ordered-simplex integral of ``prod_j exp(-i theta_j t_j)`` over
     ``t >= t_1 >= t_2 >= ... >= t_k >= 0``, vectorized over the columns of
     ``thetas`` (shape ``(k, channels)``): the one-path chain with energies
     ``0, theta_1, theta_1 + theta_2, ...`` and unit hops.
 
-    Raises ``NumericalError`` if node doubling never stabilizes to ``tol``.
+    Raises ``NumericalError`` if node doubling never stabilizes to the
+    default tolerance of ``chain_dyson``.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     depth, channels = thetas.shape
@@ -131,5 +132,5 @@ def ordered_phase_integral(thetas, t: float, tol: float = 1e-10) -> np.ndarray:
         raise ValueError("need at least one nesting level")
     diag = np.concatenate([np.zeros((channels, 1)), np.cumsum(thetas.T, axis=1)], axis=1)
     values = chain_dyson(diag, np.ones((channels, depth)), np.zeros(channels),
-                         np.full(channels, depth), t, depth, tol=tol)
+                         np.full(channels, depth), t, depth)
     return 1j**depth * values

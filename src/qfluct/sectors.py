@@ -17,7 +17,7 @@ linear domain happens only inside weighted sums.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,10 +31,13 @@ __all__ = [
     "SectorLabel",
     "SectorRow",
     "SectorTable",
+    "check_spin_count",
     "multiplicity",
     "log_multiplicity",
+    "eta",
     "sector_energy",
     "boltzmann_table",
+    "thermal_table",
     "ladder_coefficient",
 ]
 
@@ -62,6 +65,14 @@ class ModelParams:
             raise ParameterError(f"beta must be positive, got {self.beta}")
         if self.epsilon < 0:
             raise ParameterError(f"epsilon must be non-negative, got {self.epsilon}")
+
+
+def check_spin_count(n_spins: int) -> None:
+    """Reject spin counts that are not even and at least 2.  Every finite-N
+    quantity counts Cooper pairs, so odd counts are rejected rather than
+    silently shifted."""
+    if n_spins < 2 or n_spins % 2 != 0:
+        raise ParityError(f"n_spins must be even and >= 2, got {n_spins}")
 
 
 def _check_spin(n_spins: int, s) -> None:
@@ -126,19 +137,18 @@ def log_multiplicity(n_spins: int, s):
     return float(log_c) if log_c.ndim == 0 else log_c
 
 
+def eta(params: ModelParams, n_spins: int, s, s_z):
+    """Energy of the ``(s, s_z)`` sector of the pairing Hamiltonian,
+
+    ``eta(s, s_z) = -2 eps s_z - (2 T_c / N) (s(s+1) - s_z(s_z - 1))``;
+    ``s`` and ``s_z`` broadcast as arrays."""
+    pair = s * (s + 1.0) - s_z * (s_z - 1.0)
+    return -2.0 * params.epsilon * s_z - (2.0 * params.t_c / n_spins) * pair
+
+
 def sector_energy(params: ModelParams, label: SectorLabel) -> float:
-    """Energy of the ``(s, s_z)`` sector of the pairing Hamiltonian:
-
-    ``eta(s, s_z) = -2 eps s_z - (2 T_c / N) (s(s+1) - s_z(s_z - 1))``.
-    """
-    s, sz = label.s, label.s_z
-    pair = s * (s + 1.0) - sz * (sz - 1.0)
-    return -2.0 * params.epsilon * sz - (2.0 * params.t_c / label.n_spins) * pair
-
-
-def _eta_array(params: ModelParams, n_spins: int, s, sz: np.ndarray) -> np.ndarray:
-    pair = s * (s + 1.0) - sz * (sz - 1.0)
-    return -2.0 * params.epsilon * sz - (2.0 * params.t_c / n_spins) * pair
+    """``eta`` of one validated sector label."""
+    return float(eta(params, label.n_spins, label.s, label.s_z))
 
 
 # Table entries whose log-weight falls more than this below the table's
@@ -163,7 +173,7 @@ class SectorRow:
     @property
     def degeneracy(self) -> int:
         """Exact ``d(s)``; a big integer at large N, so only computed on
-        request (JSON export, small-N oracles)."""
+        request (selftest and small-N oracles)."""
         return multiplicity(self.n_spins, self.s)
 
 
@@ -201,34 +211,14 @@ class SectorTable:
         log_d = log_multiplicity(self.n_spins, row_s)
         rows = []
         for s, log_d_s, sz in zip(row_s, log_d, np.split(self.sz, cuts)):
-            eta = _eta_array(self.params, self.n_spins, s, sz)
+            level = eta(self.params, self.n_spins, s, sz)
             rows.append(SectorRow(
                 n_spins=self.n_spins, s=int(s), log_degeneracy=float(log_d_s), sz=sz,
-                eta=eta, log_rho=-self.params.beta * eta - self.log_partition))
+                eta=level, log_rho=-self.params.beta * level - self.log_partition))
         return tuple(rows)
 
     def normalization(self) -> float:
         return float(np.exp(logsumexp(self.log_w)))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_spins": self.n_spins,
-            "log_partition": self.log_partition,
-            "sectors": [
-                {
-                    "s": row.s,
-                    "d": row.degeneracy,
-                    "rows": [
-                        {"sz": float(sz), "eta": float(eta), "log_rho": float(lr)}
-                        for sz, eta, lr in zip(row.sz, row.eta, row.log_rho)
-                    ],
-                }
-                for row in self.rows
-            ],
-        }
-
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
 
 def boltzmann_table(params: ModelParams, n_spins: int) -> SectorTable:
@@ -238,21 +228,18 @@ def boltzmann_table(params: ModelParams, n_spins: int) -> SectorTable:
     ``-beta * eta`` is a concave quadratic in ``s_z`` with its vertex at
     ``eps N / (2 T_c) + 1/2`` and curvature ``2 beta T_c / N`` in every
     sector, so each sector's largest entry and kept ``s_z`` interval follow
-    in closed form and the cost is linear in the kept entries.  Only even
-    spin counts are supported (Cooper-pair convention); odd ones are
-    rejected rather than silently shifted.  The log partition function is
-    accumulated with ``logsumexp`` so the table is overflow-free for any
-    ``beta * eta``.
+    in closed form and the cost is linear in the kept entries.  The log
+    partition function is accumulated as a log-sum-exp, so the table is
+    overflow-free for any ``beta * eta``.
     """
-    if n_spins < 2 or n_spins % 2 != 0:
-        raise ParityError(f"n_spins must be even and >= 2, got {n_spins}")
+    check_spin_count(n_spins)
 
     s = np.arange(n_spins // 2, -1, -1, dtype=float)
     log_d = log_multiplicity(n_spins, s)
     vertex = params.epsilon * n_spins / (2.0 * params.t_c) + 0.5
     curvature = 2.0 * params.beta * params.t_c / n_spins
     best = np.clip(np.rint(vertex), -s, s)
-    row_max = log_d - params.beta * _eta_array(params, n_spins, s, best)
+    row_max = log_d - params.beta * eta(params, n_spins, s, best)
     floor = np.max(row_max) - _LOG_MARGIN
     # log-weight = row_max + curvature * ((best - vertex)^2 - (s_z - vertex)^2);
     # the 1e-9 slack only ever keeps an entry more
@@ -265,19 +252,44 @@ def boltzmann_table(params: ModelParams, n_spins: int) -> SectorTable:
     s_flat = np.repeat(s, count)
     sz = np.repeat(lo - (np.cumsum(count) - count), count)
     sz += np.arange(sz.size)
-    log_w = _eta_array(params, n_spins, s_flat, sz)
+    log_w = eta(params, n_spins, s_flat, sz)
     log_w *= -params.beta
     log_w += np.repeat(log_d, count)
-    # logsumexp by hand: scipy's holds five temporaries of this size
+    # logsumexp by hand, in place (scipy's holds five temporaries of this
+    # size).  Shifting by the largest entry first keeps the rounding of the
+    # large log-weights (1e4 and more at N = 16384) out of the table: every
+    # kept entry lies within _LOG_MARGIN of the top, so each difference is
+    # exact (Sterbenz) once the top exceeds 2 * _LOG_MARGIN.
     top = float(np.max(log_w))
-    shifted = log_w - top
-    log_z = top + math.log(float(np.sum(np.exp(shifted, out=shifted))))
-    log_w -= log_z
+    log_w -= top
+    log_sum = math.log(float(np.sum(np.exp(log_w))))
+    log_w -= log_sum
     dropped = (n_spins // 2 + 1) ** 2 - s_flat.size
     return SectorTable(
-        params=params, n_spins=n_spins, log_partition=log_z, s=s_flat, sz=sz, log_w=log_w,
-        discarded_bound=dropped * math.exp(-_LOG_MARGIN),
+        params=params, n_spins=n_spins, log_partition=top + log_sum, s=s_flat, sz=sz,
+        log_w=log_w, discarded_bound=dropped * math.exp(-_LOG_MARGIN),
     )
+
+
+# Tables are immutable and shared by every finite-N quantity; the least
+# recently used one goes once this many are held (a table holds about 35 N
+# entries of 24 bytes).
+_TABLE_CACHE_SIZE = 8
+
+
+def thermal_table(params: ModelParams, n_spins: int) -> SectorTable:
+    """The ``boltzmann_table`` of these parameters, built once and then
+    reused while it stays in a cache of the last ``_TABLE_CACHE_SIZE``
+    tables.  The chemical potential does not enter the table, so the cache
+    key is ``(epsilon, t_c, beta, N)``."""
+    return _cached_table(params.epsilon, params.t_c, params.beta, n_spins)
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _cached_table(epsilon: float, t_c: float, beta: float, n_spins: int) -> SectorTable:
+    # looked up as a module global on every miss, so a wrapper installed on
+    # sectors.boltzmann_table sees each build
+    return boltzmann_table(ModelParams(epsilon, t_c, beta), n_spins)
 
 
 def ladder_coefficient(s, s_z, k: int):

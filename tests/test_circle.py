@@ -285,16 +285,6 @@ def test_current_is_charge_velocity():
     assert current == pytest.approx(-velocity(flipped), abs=1e-6)
 
 
-def test_state_json_roundtrip():
-    trunc = circle.ChargeBasisTruncation(3)
-    state = make_state(trunc, {0: 0.6, 1: 0.8j})
-    import json
-
-    doc = json.loads(state.to_json())
-    assert doc["n_max"] == 3
-    assert doc["amplitudes"][trunc.index_of(1)] == [0.0, 0.8]
-
-
 @pytest.mark.parametrize("field", ["e_c", "e_j", "n_g", "charge_offset"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_circuit_params_reject_non_finite(field, value):

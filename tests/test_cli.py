@@ -180,6 +180,29 @@ def test_malformed_config_is_config_error(tmp_path, capsys, command, config):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_converge_rejects_non_positive_spin_counts(tmp_path, capsys):
+    # a pure-phase word at time 0 needs no sector table at any size
+    code, _ = run(tmp_path, "converge", {**CONVERGE, "n_list": [-4, 0, 4, 8],
+                                         "word": [[0.3, 0, 0]], "time": 0})
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap", "--tol", "1e-8"],
+    ["selftest", "--config", "cfg.json"],
+    ["selftest", "--tol", "0"],
+    ["selftest", "--tol=-1e-10"],
+    ["selftest", "--tol", "inf"],
+    ["junction", "--tol", "nan"],
+], ids=["gap-tol", "selftest-config", "selftest-tol-zero", "selftest-tol-negative",
+        "selftest-tol-inf", "junction-tol-nan"])
+def test_rejected_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
 def test_selftest_passes(capsys):
     assert cli.main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -35,8 +35,6 @@ def test_empty_and_pure_phase_words_are_exactly_one():
 def test_unbalanced_words_vanish_exactly():
     w = word([[0.0, 0, 1]])
     assert correlators.correlation_finite_n(PARAMS, 8, w, SOL) == 0j
-    # the numerically forced path agrees
-    assert correlators.correlation_finite_n(PARAMS, 8, w, SOL, force_numeric=True) == 0j
 
 
 def test_normal_phase_raises():
@@ -233,17 +231,18 @@ def test_pair_expectation_approaches_squared_gap():
 
 def test_table_cache_is_bounded(monkeypatch):
     built = []
+    true_build = sectors.boltzmann_table
 
     def counting(params, n_spins):
         built.append(n_spins)
-        return sectors.boltzmann_table(params, n_spins)
+        return true_build(params, n_spins)
 
-    monkeypatch.setattr(correlators, "boltzmann_table", counting)
-    correlators._cached_table.cache_clear()
-    sizes = [2 * k for k in range(1, correlators._TABLE_CACHE_SIZE + 5)]
+    monkeypatch.setattr(sectors, "boltzmann_table", counting)
+    sectors._cached_table.cache_clear()
+    sizes = [2 * k for k in range(1, sectors._TABLE_CACHE_SIZE + 5)]
     correlators.convergence_sweep(PARAMS, word([[0.0, 1, 1]]), SOL, sizes)
     assert built == sizes  # one build per size, none for the reported bound
-    assert correlators._cached_table.cache_info().currsize == correlators._TABLE_CACHE_SIZE
+    assert sectors._cached_table.cache_info().currsize == sectors._TABLE_CACHE_SIZE
     correlators.pair_expectation(PARAMS, sizes[-1])
     assert built == sizes
 

@@ -1,11 +1,10 @@
-import json
 import math
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from qfluct import correlators, dense, gap, sectors
+from qfluct import correlators, dense, gap, junction, sectors
 from qfluct.errors import ParameterError, ParityError
 
 
@@ -115,6 +114,53 @@ def test_boltzmann_rejects_odd_n():
         sectors.boltzmann_table(params, 5)
 
 
+LAYER = sectors.ModelParams(epsilon=0.3, t_c=1.0, beta=1.6, mu=0.2)
+LAYER_GAP = gap.solve_gap(0.3, 1.0, 1.6)
+JUNCTION = junction.JunctionParams(left=LAYER, right=LAYER, lam=0.8, e_c=0.5, n_g=0.25,
+                                   beta=1.6)
+PURE_PHASE = correlators.FluctuationWord.from_triples([[0.4, 0, 0]])
+
+# Every finite-N entry point, fed the inputs that return early where there
+# are any: a pure-phase word, m = 0, n != m, a charge-violating element.
+SPIN_COUNT_CALLS = {
+    "boltzmann_table": lambda n: sectors.boltzmann_table(LAYER, n),
+    "correlation_pure_phase": lambda n: correlators.correlation_finite_n(
+        LAYER, n, PURE_PHASE, LAYER_GAP),
+    "correlation_pair": lambda n: correlators.correlation_finite_n(
+        LAYER, n, correlators.FluctuationWord.from_triples([[0.0, 1, 1]]), LAYER_GAP),
+    "evolution_m0": lambda n: correlators.single_layer_evolution_element(
+        LAYER, n, 0, 0, 0.5, LAYER_GAP),
+    "evolution_n_ne_m": lambda n: correlators.single_layer_evolution_element(
+        LAYER, n, 0, 1, 0.5, LAYER_GAP),
+    "w_m0": lambda n: correlators.w_expectation(LAYER, n, 0, 0.5),
+    "w_t0": lambda n: correlators.w_expectation(LAYER, n, 1, 0.0),
+    "pair_expectation": lambda n: correlators.pair_expectation(LAYER, n),
+    "convergence_sweep": lambda n: correlators.convergence_sweep(
+        LAYER, PURE_PHASE, LAYER_GAP, [4, n, 8]),
+    "junction_element": lambda n: junction.evolution_element(
+        JUNCTION, n, (0, 0), (1, 1), 0.5),
+    "dyson_junction": lambda n: junction.dyson_junction(
+        JUNCTION, n, 0.5, 1, [((0, 0), (1, 1))]),
+}
+
+
+@pytest.mark.parametrize("n", [-4, 0, 3])
+@pytest.mark.parametrize("call", SPIN_COUNT_CALLS.values(), ids=SPIN_COUNT_CALLS.keys())
+def test_finite_n_entry_points_reject_bad_spin_counts(call, n):
+    with pytest.raises(ParityError):
+        call(n)
+
+
+# The ninth combination, (0.4, 1.2) at N = 65536, keeps 12.6M entries and
+# peaks near 0.8 GB, so it is left out here.
+@pytest.mark.parametrize("epsilon,beta,n", [
+    (eps, beta, n) for eps, beta in [(0.0, 2.0), (0.4, 1.2), (0.4, 40.0)]
+    for n in (4096, 16384, 65536) if (eps, beta, n) != (0.4, 1.2, 65536)])
+def test_normalization_exact_at_large_n(epsilon, beta, n):
+    table = sectors.boltzmann_table(sectors.ModelParams(epsilon, 1.0, beta), n)
+    assert abs(table.normalization() - 1.0) <= 1e-14
+
+
 def test_table_independent_of_mu():
     a = sectors.boltzmann_table(sectors.ModelParams(0.3, 1.0, 2.0, mu=0.0), 8)
     b = sectors.boltzmann_table(sectors.ModelParams(0.3, 1.0, 2.0, mu=0.9), 8)
@@ -128,21 +174,6 @@ def test_sector_order_deterministic():
     assert [row.s for row in table.rows] == [4, 3, 2, 1, 0]
     for row in table.rows:
         assert np.all(np.diff(row.sz) == 1)
-
-
-def test_json_schema():
-    params = sectors.ModelParams(epsilon=0.5, t_c=1.0, beta=2.0)
-    table = sectors.boltzmann_table(params, 4)
-    doc = json.loads(table.to_json())
-    assert set(doc) == {"n_spins", "log_partition", "sectors"}
-    assert doc["n_spins"] == 4
-    assert [sec["s"] for sec in doc["sectors"]] == [2, 1, 0]
-    assert doc["sectors"][1]["d"] == 3
-    first = doc["sectors"][0]["rows"][0]
-    assert set(first) == {"sz", "eta", "log_rho"}
-    total = sum(sec["d"] * sum(math.exp(r["log_rho"]) for r in sec["rows"])
-                for sec in doc["sectors"])
-    assert total == pytest.approx(1.0, rel=1e-12)
 
 
 def test_ladder_coefficient_examples():
@@ -210,6 +241,7 @@ def _unpruned(params, n):
     eta = (-2.0 * params.epsilon * sz
            - (2.0 * params.t_c / n) * (s * (s + 1.0) - sz * (sz - 1.0)))
     log_w = np.repeat(sectors.log_multiplicity(n, rows), width) - params.beta * eta
+    log_w -= log_w.max()
     log_w -= logsumexp(log_w)
     keep = np.exp(log_w) > 0.0
     return s[keep], sz[keep], log_w[keep]
