@@ -5,11 +5,10 @@ circuit they converge to."""
 __version__ = "0.1.0"
 
 from .circle import (ChargeBasisTruncation, CircleState, CircuitParams,
-                     build_hamiltonian, build_momentum, build_weyl, dyson_circle,
-                     dyson_defect, evolve, josephson_current, phase_peaked_state,
-                     spectrum)
-from .correlators import (ConvergenceResult, FluctuationWord, MesoscopicPrediction,
-                          WordFactor, convergence_sweep, correlation_finite_n,
+                     build_hamiltonian, build_weyl, dyson_circle, dyson_defect,
+                     josephson_current, phase_peaked_state, propagator, spectrum)
+from .correlators import (ConvergenceResult, FluctuationWord, WordFactor,
+                          convergence_sweep, correlation_finite_n,
                           mesoscopic_prediction, pair_expectation,
                           single_layer_evolution_element, w_expectation)
 from .errors import (NormalPhaseError, NumericalError, ParameterError, ParityError,
@@ -19,6 +18,6 @@ from .gap import (GapSolution, critical_current_curve, josephson_energy,
                   meanfield_spin_expectations, rescaled_gap, solve_gap)
 from .junction import (JunctionParams, TransitionElement, circle_element,
                        dyson_junction, dyson_junction_defect, evolution_element,
-                       layer_gaps, meso_compare, two_layer_correlator)
-from .sectors import (ModelParams, SectorLabel, SectorTable, boltzmann_table,
-                      ladder_coefficient, multiplicity, sector_energy)
+                       layer_gaps, meso_compare)
+from .sectors import (ModelParams, SectorTable, boltzmann_table, ladder_coefficient,
+                      multiplicity)

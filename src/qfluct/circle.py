@@ -35,11 +35,10 @@ __all__ = [
     "ChargeBasisTruncation",
     "CircleState",
     "SpectrumResult",
-    "build_momentum",
     "build_weyl",
     "build_hamiltonian",
     "spectrum",
-    "evolve",
+    "propagator",
     "dyson_circle",
     "dyson_defect",
     "josephson_current",
@@ -120,11 +119,6 @@ class CircleState:
         return abs(self.norm - 1.0) < 1e-10
 
 
-def build_momentum(trunc: ChargeBasisTruncation) -> np.ndarray:
-    """Diagonal momentum matrix p|n> = n|n>."""
-    return np.diag(trunc.grid())
-
-
 def build_weyl(trunc: ChargeBasisTruncation, k: int) -> np.ndarray:
     """Shift matrix for exp(i k phi): |n> -> |n+k>, amplitudes shifted past
     the window boundary are dropped."""
@@ -133,14 +127,18 @@ def build_weyl(trunc: ChargeBasisTruncation, k: int) -> np.ndarray:
     return np.eye(trunc.dim, k=-k)
 
 
+def _chain(params: CircuitParams, trunc: ChargeBasisTruncation):
+    """The charge basis as one tridiagonal chain: site energies
+    E_C (n - n_g)^2 and uniform hops E_J / 2."""
+    diag = params.e_c * (trunc.grid() - params.n_g) ** 2
+    return diag, np.full(trunc.dim - 1, 0.5 * params.e_j)
+
+
 def build_hamiltonian(params: CircuitParams, trunc: ChargeBasisTruncation) -> np.ndarray:
     """Tridiagonal charge-basis Hamiltonian: diagonal E_C (n - n_g)^2,
     off-diagonal E_J / 2."""
-    grid = trunc.grid()
-    h = np.diag(params.e_c * (grid - params.n_g) ** 2)
-    hop = 0.5 * params.e_j * np.ones(trunc.dim - 1)
-    h += np.diag(hop, 1) + np.diag(hop, -1)
-    return h
+    diag, hop = _chain(params, trunc)
+    return np.diag(diag) + np.diag(hop, 1) + np.diag(hop, -1)
 
 
 @dataclass(frozen=True)
@@ -154,7 +152,7 @@ def spectrum(params: CircuitParams, trunc: ChargeBasisTruncation, k: int) -> Spe
     """Lowest ``k`` eigenvalues, with an automatic window-doubling check:
     ``converged`` is set when doubling n_max moves every requested level by
     less than 1e-10 relative to the overall spectral scale."""
-    if k > trunc.dim:
+    if not 1 <= k <= trunc.dim:
         raise ParameterError(f"requested {k} levels from a {trunc.dim}-dim basis")
     small = np.linalg.eigvalsh(build_hamiltonian(params, trunc))[:k]
     big_trunc = trunc.doubled()
@@ -164,21 +162,11 @@ def spectrum(params: CircuitParams, trunc: ChargeBasisTruncation, k: int) -> Spe
     return SpectrumResult(energies=big, converged=shift < 1e-10, max_rel_shift=shift)
 
 
-def evolve(params: CircuitParams, trunc: ChargeBasisTruncation,
-           state: CircleState, t: float) -> CircleState:
-    """Unitary evolution by eigendecomposition; norm preserved to 1e-12."""
-    evals, vecs = eigh(build_hamiltonian(params, trunc))
-    amps = (vecs * np.exp(-1j * t * evals)) @ (vecs.T @ state.amplitudes)
-    return CircleState(amps, trunc)
-
-
 def propagator(params: CircuitParams, trunc: ChargeBasisTruncation, t: float) -> np.ndarray:
+    """Exact evolution operator ``exp(-i t h)`` on the truncated basis, by
+    eigendecomposition; unitary to rounding."""
     evals, vecs = eigh(build_hamiltonian(params, trunc))
     return (vecs * np.exp(-1j * t * evals)) @ vecs.T
-
-
-def _charging_phase(params: CircuitParams, grid: np.ndarray, t: float) -> np.ndarray:
-    return np.exp(-1j * t * params.e_c * (grid - params.n_g) ** 2)
 
 
 def dyson_circle(params: CircuitParams, trunc: ChargeBasisTruncation, t: float,
@@ -202,8 +190,7 @@ def dyson_circle(params: CircuitParams, trunc: ChargeBasisTruncation, t: float,
     """
     if order < 0:
         raise ParameterError("order must be >= 0")
-    diag = params.e_c * (trunc.grid() - params.n_g) ** 2
-    hop = np.full(trunc.dim - 1, 0.5 * params.e_j)
+    diag, hop = _chain(params, trunc)
     sites = np.arange(trunc.dim)[None, :]
     return chain_dyson(diag[None, :], hop[None, :], sites, sites, t, order)[0].T
 
@@ -213,7 +200,7 @@ def dyson_defect(params: CircuitParams, trunc: ChargeBasisTruncation, t: float,
     """Measured spectral-norm defect ``||U(t) - D_K(t) U_0(t)||`` together
     with the factorial bound it must respect."""
     u_exact = propagator(params, trunc, t)
-    u_free = np.diag(_charging_phase(params, trunc.grid(), t))
+    u_free = np.diag(np.exp(-1j * t * _chain(params, trunc)[0]))
     d_k = dyson_circle(params, trunc, t, order)
     defect = float(np.linalg.norm(u_exact - d_k @ u_free, 2))
     bound = (abs(params.e_j) * abs(t)) ** (order + 1) / math.factorial(order + 1)

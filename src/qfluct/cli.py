@@ -65,7 +65,7 @@ def _is_num(value) -> bool:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, int) and _is_num(value)
 
 
 def _num(cfg, key, default=None):
@@ -178,8 +178,6 @@ def cmd_gap(args) -> int:
     t_c = _num(cfg, "t_c")
     lam = _num(cfg, "lambda", 1.0)
     betas = _num_list(cfg, "betas")
-    if not betas:
-        raise ParameterError("empty beta grid")
     if len(set(betas)) != len(betas):
         print("warning: duplicate beta values deduplicated", file=sys.stderr)
         betas = list(dict.fromkeys(betas))
@@ -265,8 +263,6 @@ def cmd_circle(args) -> int:
     )
     trunc = circle.ChargeBasisTruncation(_int(cfg, "n_max", 32), params.charge_offset)
     levels = _int(cfg, "levels", 5)
-    if levels < 1:
-        raise ParameterError("config key 'levels' must be at least 1")
     dispersion_points = _int(cfg, "dispersion_points", 21)
     phase_points = _int(cfg, "phase_points", 25)
     width = _num(cfg, "packet_width", 0.5)

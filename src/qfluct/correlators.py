@@ -38,7 +38,6 @@ from .sectors import ModelParams, check_spin_count, thermal_table
 __all__ = [
     "WordFactor",
     "FluctuationWord",
-    "MesoscopicPrediction",
     "mesoscopic_prediction",
     "correlation_finite_n",
     "convergence_sweep",
@@ -101,18 +100,12 @@ class FluctuationWord:
         return [[f.alpha, f.n, f.m] for f in self.factors]
 
 
-@dataclass(frozen=True)
-class MesoscopicPrediction:
+def mesoscopic_prediction(word: FluctuationWord) -> complex:
     """Large-N value of a fluctuation word: zero unless the raising and
     lowering powers balance, a pure phase when they do."""
-
-    value: complex
-
-
-def mesoscopic_prediction(word: FluctuationWord) -> MesoscopicPrediction:
     if word.total_m != word.total_n:
-        return MesoscopicPrediction(0j)
-    return MesoscopicPrediction(cmath.exp(1j * word.phase()))
+        return 0j
+    return cmath.exp(1j * word.phase())
 
 
 def _require_gap(gap: GapSolution) -> float:
@@ -204,7 +197,7 @@ def convergence_sweep(params: ModelParams, word: FluctuationWord, gap: GapSoluti
     n_list = [int(n) for n in n_list]
     for n in n_list:
         check_spin_count(n)
-    target = mesoscopic_prediction(word).value
+    target = mesoscopic_prediction(word)
 
     steps = word.total_m + word.total_n
     walks = steps > 0 and word.total_m == word.total_n

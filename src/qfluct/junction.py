@@ -26,7 +26,6 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .circle import ChargeBasisTruncation, CircuitParams, propagator
-from .correlators import FluctuationWord, correlation_finite_n
 from .errors import NormalPhaseError, ParameterError, TruncationError, require_finite
 from .gap import josephson_energy, solve_gap
 from .quadrature import chain_dyson
@@ -44,7 +43,6 @@ __all__ = [
     "MesoCompareRow",
     "dyson_junction",
     "dyson_junction_defect",
-    "two_layer_correlator",
 ]
 
 
@@ -77,14 +75,8 @@ def layer_gaps(params: JunctionParams):
     """Solve both layers' gap equations at the common temperature; both must
     be superconducting for any fluctuation dynamics to exist."""
     pl, pr = params.layer_params()
-    gl = solve_gap(pl.epsilon, pl.t_c, pl.beta)
-    gr = solve_gap(pr.epsilon, pr.t_c, pr.beta)
-    if gl.delta <= 0 or gr.delta <= 0:
-        raise NormalPhaseError(
-            f"both layers must be superconducting (Delta_L={gl.delta}, "
-            f"Delta_R={gr.delta})"
-        )
-    return gl, gr
+    return _resolve_gaps(params, (solve_gap(pl.epsilon, pl.t_c, pl.beta),
+                                  solve_gap(pr.epsilon, pr.t_c, pr.beta)))
 
 
 def _resolve_gaps(params: JunctionParams, gaps):
@@ -92,7 +84,10 @@ def _resolve_gaps(params: JunctionParams, gaps):
         return layer_gaps(params)
     gl, gr = gaps
     if gl.delta <= 0 or gr.delta <= 0:
-        raise NormalPhaseError("supplied gap solutions are not superconducting")
+        raise NormalPhaseError(
+            f"both layers must be superconducting (Delta_L={gl.delta}, "
+            f"Delta_R={gr.delta})"
+        )
     return gl, gr
 
 
@@ -313,15 +308,3 @@ def dyson_junction_defect(params: JunctionParams, n_spins: int, t: float,
     bound = ((2.0 * abs(params.lam)) ** (order + 1) * abs(t) ** (order + 1)
              / math.factorial(order + 1))
     return deviations, bound
-
-
-def two_layer_correlator(params: JunctionParams, n_spins: int,
-                         left_word: FluctuationWord, right_word: FluctuationWord,
-                         gaps=None) -> complex:
-    """Joint thermal expectation of a left-layer word times a right-layer
-    word.  The thermal state carries no correlations between the layers, so
-    this factorizes exactly into the product of single-layer values."""
-    gl, gr = _resolve_gaps(params, gaps)
-    pl, pr = params.layer_params()
-    return (correlation_finite_n(pl, n_spins, left_word, gl)
-            * correlation_finite_n(pr, n_spins, right_word, gr))

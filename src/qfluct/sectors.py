@@ -28,14 +28,12 @@ from .errors import ParameterError, ParityError, require_finite
 
 __all__ = [
     "ModelParams",
-    "SectorLabel",
     "SectorRow",
     "SectorTable",
     "check_spin_count",
     "multiplicity",
     "log_multiplicity",
     "eta",
-    "sector_energy",
     "boltzmann_table",
     "thermal_table",
     "ladder_coefficient",
@@ -90,25 +88,6 @@ def _check_spin(n_spins: int, s) -> None:
             raise error(f"s={s[bad].flat[0]} {reason}")
 
 
-@dataclass(frozen=True)
-class SectorLabel:
-    """One ``(s, s_z)`` eigenspace label of the collective spin algebra."""
-
-    n_spins: int
-    s: float
-    s_z: float
-
-    def __post_init__(self):
-        _check_spin(self.n_spins, self.s)
-        two_sz = 2 * self.s_z
-        if abs(two_sz - round(two_sz)) > 1e-9:
-            raise ParityError(f"s_z={self.s_z} is not integer or half-integer")
-        if (round(2 * self.s) - round(two_sz)) % 2 != 0:
-            raise ParityError(f"s_z={self.s_z} has wrong parity for s={self.s}")
-        if abs(self.s_z) > self.s + 1e-12:
-            raise ParameterError(f"|s_z|={abs(self.s_z)} exceeds s={self.s}")
-
-
 def multiplicity(n_spins: int, s) -> int:
     """Number of copies of the spin-``s`` irreducible block among ``n_spins``
     spin-1/2's.
@@ -144,11 +123,6 @@ def eta(params: ModelParams, n_spins: int, s, s_z):
     ``s`` and ``s_z`` broadcast as arrays."""
     pair = s * (s + 1.0) - s_z * (s_z - 1.0)
     return -2.0 * params.epsilon * s_z - (2.0 * params.t_c / n_spins) * pair
-
-
-def sector_energy(params: ModelParams, label: SectorLabel) -> float:
-    """``eta`` of one validated sector label."""
-    return float(eta(params, label.n_spins, label.s, label.s_z))
 
 
 # Table entries whose log-weight falls more than this below the table's

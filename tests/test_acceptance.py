@@ -95,7 +95,7 @@ def test_criterion_3_fluctuation_correlators():
             word = correlators.FluctuationWord.from_triples(triples)
         checked += 1
 
-        prediction = correlators.mesoscopic_prediction(word).value
+        prediction = correlators.mesoscopic_prediction(word)
         trunc = circle.ChargeBasisTruncation(max(2, word.total_m + word.total_n + 2))
         vac = np.zeros(trunc.dim, complex)
         vac[trunc.index_of(0)] = 1.0

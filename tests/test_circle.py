@@ -14,9 +14,13 @@ def make_state(trunc, entries):
     return circle.CircleState(amps, trunc)
 
 
+def propagate(params, trunc, state, t):
+    return circle.CircleState(circle.propagator(params, trunc, t) @ state.amplitudes, trunc)
+
+
 def test_momentum_is_diagonal_grid():
     trunc = circle.ChargeBasisTruncation(5)
-    p = circle.build_momentum(trunc)
+    p = np.diag(trunc.grid())
     assert p[trunc.index_of(0), trunc.index_of(0)] == 0.0
     np.testing.assert_array_equal(np.diag(p), np.arange(-5, 6))
     assert np.count_nonzero(p - np.diag(np.diag(p))) == 0
@@ -45,7 +49,7 @@ def test_weyl_shift_action():
 
 def test_ladder_commutator_on_interior():
     trunc = circle.ChargeBasisTruncation(6)
-    p = circle.build_momentum(trunc)
+    p = np.diag(trunc.grid())
     up = circle.build_weyl(trunc, 1)
     comm = p @ up - up @ p
     interior = slice(1, trunc.dim - 1)
@@ -111,17 +115,21 @@ def test_dispersion_symmetric_in_offset_charge():
 
 def test_spectrum_non_convergence_flag():
     params = circle.CircuitParams(e_c=1.0, e_j=80.0)
-    res = circle.spectrum(params, circle.ChargeBasisTruncation(3), 3)
+    trunc = circle.ChargeBasisTruncation(3)
+    res = circle.spectrum(params, trunc, 3)
     assert not res.converged
+    for k in (0, -1, trunc.dim + 1):
+        with pytest.raises(ParameterError):
+            circle.spectrum(params, trunc, k)
 
 
 def test_evolution_identity_and_unitarity():
     params = circle.CircuitParams(e_c=1.0, e_j=0.7, n_g=0.2)
     trunc = circle.ChargeBasisTruncation(10)
     state = make_state(trunc, {0: 1 / math.sqrt(2), 1: 1j / math.sqrt(2)})
-    same = circle.evolve(params, trunc, state, 0.0)
+    same = propagate(params, trunc, state, 0.0)
     np.testing.assert_allclose(same.amplitudes, state.amplitudes, atol=1e-14)
-    moved = circle.evolve(params, trunc, state, 1.7)
+    moved = propagate(params, trunc, state, 1.7)
     assert abs(moved.norm - 1.0) < 1e-12
 
 
@@ -130,7 +138,7 @@ def test_free_evolution_pure_phases():
     trunc = circle.ChargeBasisTruncation(6)
     amps = np.ones(trunc.dim, complex) / math.sqrt(trunc.dim)
     state = circle.CircleState(amps, trunc)
-    out = circle.evolve(params, trunc, state, 0.9)
+    out = propagate(params, trunc, state, 0.9)
     want = amps * np.exp(-1j * 0.9 * 1.3 * (trunc.grid() - 0.4) ** 2)
     np.testing.assert_allclose(out.amplitudes, want, atol=1e-12)
 
@@ -139,8 +147,8 @@ def test_group_law():
     params = circle.CircuitParams(e_c=1.0, e_j=0.9, n_g=0.1)
     trunc = circle.ChargeBasisTruncation(10)
     state = make_state(trunc, {0: 0.6, 1: 0.8j})
-    once = circle.evolve(params, trunc, circle.evolve(params, trunc, state, 0.4), 0.9)
-    both = circle.evolve(params, trunc, state, 1.3)
+    once = propagate(params, trunc, propagate(params, trunc, state, 0.4), 0.9)
+    both = propagate(params, trunc, state, 1.3)
     np.testing.assert_allclose(once.amplitudes, both.amplitudes, atol=1e-10)
 
 
@@ -269,13 +277,13 @@ def test_current_is_charge_velocity():
     flipped = circle.CircuitParams(e_c=0.9, e_j=-0.6, n_g=0.2)
     trunc = circle.ChargeBasisTruncation(40)
     state = circle.phase_peaked_state(trunc, 0.8, 0.3)
-    p = circle.build_momentum(trunc)
+    p = np.diag(trunc.grid())
 
     def velocity(evolution_params):
         h = 1e-4
 
         def p_expect(t):
-            amps = circle.evolve(evolution_params, trunc, state, t).amplitudes
+            amps = propagate(evolution_params, trunc, state, t).amplitudes
             return float(np.real(np.vdot(amps, p @ amps)))
 
         return (p_expect(h) - p_expect(-h)) / (2 * h)

@@ -171,9 +171,14 @@ CONVERGE = {"epsilon": 0.0, "t_c": 1.0, "beta": 2.0}
     ("circle", {**CIRCLE, "levels": 0}),
     ("junction", {**JUNCTION, "n_list": [4.7]}),
     ("junction", {**JUNCTION, "elements": [[0.5, 0, 1, -1]]}),
+    ("converge", {**CONVERGE, "n_list": [10**400]}),
+    ("converge", {**CONVERGE, "w_power": 10**400}),
+    ("circle", {**CIRCLE, "n_max": 10**400}),
+    ("junction", {**JUNCTION, "dyson_order": 10**400}),
 ], ids=["junction-time-nan", "circle-ej-nan", "circle-ec-huge-int", "junction-empty-n-list",
         "converge-empty-n-list", "circle-zero-levels", "junction-fractional-n",
-        "junction-fractional-element"])
+        "junction-fractional-element", "converge-huge-n", "converge-huge-w-power",
+        "circle-huge-n-max", "junction-huge-dyson-order"])
 def test_malformed_config_is_config_error(tmp_path, capsys, command, config):
     code, _ = run(tmp_path, command, config)
     assert code == 2

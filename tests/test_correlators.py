@@ -89,11 +89,11 @@ def test_phase_of_finite_n_value_is_exact():
 def test_mesoscopic_prediction_examples():
     a1, a2 = 0.37, -1.42
     w = word([[a1, 0, 1], [a2, 1, 0]])
-    assert correlators.mesoscopic_prediction(w).value == pytest.approx(
+    assert correlators.mesoscopic_prediction(w) == pytest.approx(
         cmath.exp(-1j * a2), abs=1e-15)
-    assert correlators.mesoscopic_prediction(word([[0.0, 0, 2]])).value == 0j
+    assert correlators.mesoscopic_prediction(word([[0.0, 0, 2]])) == 0j
     balanced = word([[0.0, 2, 1], [0.0, 0, 1]])
-    assert correlators.mesoscopic_prediction(balanced).value == pytest.approx(1.0)
+    assert correlators.mesoscopic_prediction(balanced) == pytest.approx(1.0)
 
 
 def test_mesoscopic_prediction_vs_circle_matrices():
@@ -118,7 +118,7 @@ def test_mesoscopic_prediction_vs_circle_matrices():
             if k != 0:
                 vec = circle.build_weyl(trunc, k) @ vec
             vec = np.exp(1j * f.alpha * grid) * vec
-        assert correlators.mesoscopic_prediction(w).value == pytest.approx(
+        assert correlators.mesoscopic_prediction(w) == pytest.approx(
             complex(np.vdot(vac, vec)), abs=1e-12)
 
 

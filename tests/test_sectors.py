@@ -59,10 +59,8 @@ def test_log_multiplicity_large_n():
 
 def test_sector_energy_examples():
     params = sectors.ModelParams(epsilon=1.0, t_c=1.0, beta=1.0)
-    top = sectors.SectorLabel(n_spins=2, s=1, s_z=1)
-    assert sectors.sector_energy(params, top) == pytest.approx(-4.0)
-    singlet = sectors.SectorLabel(n_spins=2, s=0, s_z=0)
-    assert sectors.sector_energy(params, singlet) == 0.0
+    assert sectors.eta(params, 2, 1, 1) == pytest.approx(-4.0)
+    assert sectors.eta(params, 2, 0, 0) == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -213,13 +211,6 @@ def test_model_params_validation():
         sectors.ModelParams(epsilon=0.0, t_c=1.0, beta=-2.0)
     with pytest.raises(ParameterError):
         sectors.ModelParams(epsilon=float("nan"), t_c=1.0, beta=1.0)
-
-
-def test_sector_label_validation():
-    with pytest.raises(ParameterError):
-        sectors.SectorLabel(n_spins=4, s=1, s_z=2)
-    with pytest.raises(ParityError):
-        sectors.SectorLabel(n_spins=4, s=1, s_z=0.5)
 
 
 # Balanced words of one, two and three raise/lower pairs, with phases.
