@@ -15,7 +15,7 @@ from .errors import (NormalPhaseError, NumericalError, ParameterError, ParityErr
                      QfluctError, SolverError, TruncationError)
 from .fitting import PowerLawFit, fit_power_law
 from .gap import (GapSolution, critical_current_curve, josephson_energy,
-                  meanfield_spin_expectations, rescaled_gap, solve_gap)
+                  rescaled_gap, solve_gap)
 from .junction import (JunctionParams, TransitionElement, circle_element,
                        dyson_junction, dyson_junction_defect, evolution_element,
                        layer_gaps, meso_compare)

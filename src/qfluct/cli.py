@@ -30,6 +30,8 @@ from .errors import (NormalPhaseError, NumericalError, ParameterError,
                      SolverError, TruncationError)
 
 DEFAULT_N_LIST = [64, 128, 256, 512, 1024, 2048, 4096]
+# largest deviation from the dense oracles that `selftest` passes
+_SELFTEST_TOL = 1e-10
 
 
 # ---------------------------------------------------------------- config i/o
@@ -267,19 +269,20 @@ def cmd_circle(args) -> int:
     phase_points = _int(cfg, "phase_points", 25)
     width = _num(cfg, "packet_width", 0.5)
 
-    result = circle.spectrum(params, trunc, levels)
-    if not result.converged:
-        raise TruncationError(
-            f"spectrum not converged under window doubling "
-            f"(max relative shift {result.max_rel_shift:.3e})")
+    def converged_spectrum(circuit):
+        result = circle.spectrum(circuit, trunc, levels)
+        if not result.converged:
+            raise TruncationError(
+                f"spectrum at n_g={circuit.n_g!r} not converged under window "
+                f"doubling (max relative shift {result.max_rel_shift:.3e})")
+        return result.energies
 
+    energies = converged_spectrum(params)
     disp_rows = []
     for i in range(dispersion_points):
         n_g = i / (dispersion_points - 1) if dispersion_points > 1 else 0.0
-        energies = circle.spectrum(
-            circle.CircuitParams(params.e_c, params.e_j, n_g, params.charge_offset),
-            trunc, levels).energies
-        disp_rows.append([n_g] + [float(e) for e in energies])
+        circuit = circle.CircuitParams(params.e_c, params.e_j, n_g, params.charge_offset)
+        disp_rows.append([n_g] + [float(e) for e in converged_spectrum(circuit)])
 
     current_rows = []
     for i in range(phase_points):
@@ -290,11 +293,11 @@ def cmd_circle(args) -> int:
     out = Path(args.out)
     prov = _provenance("circle", cfg)
     _write_csv(out / "spectrum.csv", prov, ["index", "energy"],
-               [(i, float(e)) for i, e in enumerate(result.energies)])
+               [(i, float(e)) for i, e in enumerate(energies)])
     _write_csv(out / "dispersion.csv", prov,
                ["n_g"] + [f"E{i}" for i in range(levels)], disp_rows)
     _write_csv(out / "current.csv", prov, ["phi_bar", "current"], current_rows)
-    print(f"circle: {levels} levels (ground {result.energies[0]:.6g}) "
+    print(f"circle: {levels} levels (ground {energies[0]:.6g}) "
           f"-> {out / 'spectrum.csv'}")
     return 0
 
@@ -332,6 +335,9 @@ def cmd_junction(args) -> int:
     dyson_n = _int(cfg, "dyson_n", min(n_list))
 
     gaps = junction.layer_gaps(params)
+    # every result is computed before the first file is written
+    deviations, bound = junction.dyson_junction_defect(
+        params, dyson_n, t, order, elements, gaps=gaps)
     rows_by_n = junction.meso_compare(params, n_list, elements, t, gaps=gaps)
 
     out = Path(args.out)
@@ -348,9 +354,6 @@ def cmd_junction(args) -> int:
                    ["nL", "nR", "nLp", "nRp", "t", "re", "im", "abs_err_vs_meso"],
                    table)
 
-    deviations, bound = junction.dyson_junction_defect(
-        params, dyson_n, t, order, elements, gaps=gaps,
-        tol=args.tol)
     _write_csv(out / "dyson_report.csv", prov,
                ["N", "K", "t", "bound", "measured_max_abs_dev"],
                [(dyson_n, order, t, bound, max(deviations.values()))])
@@ -383,7 +386,7 @@ def cmd_junction(args) -> int:
 
 # ----------------------------------------------------------------- selftest
 
-def _selftest_sectors(tol: float, report) -> bool:
+def _selftest_sectors(report) -> bool:
     ok = True
     params = sectors.ModelParams(epsilon=0.7, t_c=1.0, beta=1.3)
     for n in (2, 4, 6):
@@ -395,7 +398,7 @@ def _selftest_sectors(tol: float, report) -> bool:
             dev = float("inf")  # wrong level count, e.g. a broken multiplicity
         else:
             dev = float(np.max(np.abs(sector_levels - dense_levels)))
-        ok &= report(f"sector spectrum vs dense (N={n})", dev, tol)
+        ok &= report(f"sector spectrum vs dense (N={n})", dev, _SELFTEST_TOL)
 
         counted = dense.casimir_multiplicities(n)
         mismatch = max(abs(counted.get(float(row.s), 0) - row.degeneracy)
@@ -411,7 +414,7 @@ def _selftest_sectors(tol: float, report) -> bool:
     return ok
 
 
-def _selftest_correlators(tol: float, report) -> bool:
+def _selftest_correlators(report) -> bool:
     ok = True
     params = sectors.ModelParams(epsilon=0.3, t_c=1.0, beta=1.6, mu=0.2)
     sol = gap.solve_gap(params.epsilon, params.t_c, params.beta)
@@ -429,7 +432,7 @@ def _selftest_correlators(tol: float, report) -> bool:
             fast = correlators.correlation_finite_n(params, n, word, sol)
             slow = dense.dense_correlation(params, n, word, sol)
             worst = max(worst, abs(fast - slow))
-        ok &= report(f"correlators vs dense (N={n})", worst, tol)
+        ok &= report(f"correlators vs dense (N={n})", worst, _SELFTEST_TOL)
 
         worst = 0.0
         for m in (0, 1, 2):
@@ -440,16 +443,16 @@ def _selftest_correlators(tol: float, report) -> bool:
         fast = correlators.single_layer_evolution_element(params, n, 0, 1, 0.8, sol)
         slow = dense.dense_evolution_element(params, n, 0, 1, 0.8, sol)
         worst = max(worst, abs(fast - slow))
-        ok &= report(f"evolution elements vs dense (N={n})", worst, tol)
+        ok &= report(f"evolution elements vs dense (N={n})", worst, _SELFTEST_TOL)
 
         worst = max(abs(correlators.w_expectation(params, n, m, 0.9)
                         - dense.dense_w_expectation(params, n, m, 0.9))
                     for m in (1, 2))
-        ok &= report(f"dephasing expectation vs dense (N={n})", worst, tol)
+        ok &= report(f"dephasing expectation vs dense (N={n})", worst, _SELFTEST_TOL)
     return ok
 
 
-def _selftest_junction(tol: float, report) -> bool:
+def _selftest_junction(report) -> bool:
     params = junction.JunctionParams(
         left=sectors.ModelParams(epsilon=0.2, t_c=1.0, beta=2.0),
         right=sectors.ModelParams(epsilon=0.0, t_c=1.2, beta=2.0),
@@ -466,7 +469,7 @@ def _selftest_junction(tol: float, report) -> bool:
                                           gaps=gaps).value
         slow = oracle.element(source, target, 0.7)
         worst = max(worst, abs(fast - slow))
-    return report("junction elements vs dense (N=2)", worst, tol)
+    return report("junction elements vs dense (N=2)", worst, _SELFTEST_TOL)
 
 
 def cmd_selftest(args) -> int:
@@ -480,9 +483,9 @@ def cmd_selftest(args) -> int:
             failures.append(name)
         return passed
 
-    _selftest_sectors(args.tol, report)
-    _selftest_correlators(args.tol, report)
-    _selftest_junction(args.tol, report)
+    _selftest_sectors(report)
+    _selftest_correlators(report)
+    _selftest_junction(report)
 
     if failures:
         print(f"selftest: {len(failures)} check(s) failed")
@@ -492,13 +495,6 @@ def cmd_selftest(args) -> int:
 
 
 # --------------------------------------------------------------------- main
-
-def _tolerance(text: str) -> float:
-    value = float(text)  # argparse reports a ValueError as an invalid value
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return value
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -522,9 +518,6 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--out", default="out", help="output directory")
         cmd.add_argument("--workers", type=int, default=1,
                          help="ignored; every run is serial")
-        if name in ("junction", "selftest"):
-            cmd.add_argument("--tol", type=_tolerance, default=1e-10,
-                             help="tolerance, finite and > 0 (default 1e-10)")
         cmd.set_defaults(func=func)
     return parser
 

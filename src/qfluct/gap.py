@@ -24,7 +24,6 @@ __all__ = [
     "rescaled_gap",
     "josephson_energy",
     "critical_current_curve",
-    "meanfield_spin_expectations",
 ]
 
 
@@ -35,7 +34,9 @@ class GapSolution:
     ``delta`` is the dimensionless gap modulus, ``c`` the fluctuation
     normalization constant (equal to ``delta``), ``omega`` the effective
     field magnitude.  The phase is physically arbitrary and carried only as
-    metadata; all downstream physics uses the modulus.  ``residual`` is
+    metadata; all downstream physics uses the modulus.  ``solve_gap``
+    always sets it to 0.0; it stays a field so that ``gap_solution.json``
+    and ``run_manifest.json`` keep their ``phase`` entry.  ``residual`` is
     ``beta_c*omega - tanh(beta*omega)`` on the returned branch, and
     ``normal_residual`` the same quantity evaluated on the Delta = 0 branch
     (omega = eps), reported so callers can inspect both branches.
@@ -60,7 +61,7 @@ def _consistency_residual(omega: float, t_c: float, beta: float) -> float:
     return omega / t_c - math.tanh(beta * omega)
 
 
-def solve_gap(epsilon: float, t_c: float, beta: float, phase: float = 0.0) -> GapSolution:
+def solve_gap(epsilon: float, t_c: float, beta: float) -> GapSolution:
     """Solve the consistency condition for the gap modulus.
 
     Returns the Delta > 0 solution when one exists (superconducting phase),
@@ -78,7 +79,7 @@ def solve_gap(epsilon: float, t_c: float, beta: float, phase: float = 0.0) -> Ga
 
     def normal(iterations: int) -> GapSolution:
         return GapSolution(
-            delta=0.0, omega=epsilon, c=0.0, phase=phase, converged=True,
+            delta=0.0, omega=epsilon, c=0.0, phase=0.0, converged=True,
             residual=normal_residual, iterations=iterations,
             normal_residual=normal_residual,
         )
@@ -125,7 +126,7 @@ def solve_gap(epsilon: float, t_c: float, beta: float, phase: float = 0.0) -> Ga
 
     delta = math.sqrt(omega * omega - epsilon * epsilon) / (2.0 * t_c)
     return GapSolution(
-        delta=delta, omega=omega, c=delta, phase=phase, converged=True,
+        delta=delta, omega=omega, c=delta, phase=0.0, converged=True,
         residual=_consistency_residual(omega, t_c, beta), iterations=iterations,
         normal_residual=normal_residual,
     )
@@ -164,23 +165,3 @@ def critical_current_curve(lam: float, epsilon: float, t_c: float, betas):
         )
     return rows
 
-
-def meanfield_spin_expectations(sol: GapSolution, epsilon: float, t_c: float,
-                                beta: float, phi: float = 0.0):
-    """Single-spin Gibbs expectations ``(<sigma_+>, <sigma_z>)`` in the
-    self-consistent effective field ``(2 T_c Delta cos phi, 2 T_c Delta sin
-    phi, eps)``.
-
-    Re-inserting a converged solution must reproduce it:
-    ``|<sigma_+>| = Delta`` is exactly the consistency condition rearranged.
-    """
-    bx = 2.0 * t_c * sol.delta * math.cos(phi)
-    by = 2.0 * t_c * sol.delta * math.sin(phi)
-    bz = epsilon
-    b = math.sqrt(bx * bx + by * by + bz * bz)
-    if b == 0.0:
-        return 0.0j, 0.0
-    m = math.tanh(beta * b)
-    sigma_plus = m * complex(bx, by) / (2.0 * b)
-    sigma_z = m * bz / b
-    return sigma_plus, sigma_z

@@ -267,7 +267,7 @@ def meso_compare(params: JunctionParams, n_list, elements, t: float,
 
 
 def dyson_junction(params: JunctionParams, n_spins: int, t: float, order: int,
-                   elements, gaps=None, tol: float = 1e-10) -> dict:
+                   elements, gaps=None) -> dict:
     """Elements of the order-K time-ordered perturbative propagator
     ``D_K(t) U_0(t)``, tunneling as the perturbation.
 
@@ -287,19 +287,18 @@ def dyson_junction(params: JunctionParams, n_spins: int, t: float, order: int,
         if sum(source) == sum(target):
             for batch in chain_batches(params, n_spins, source, target, gaps):
                 u0 = np.exp(-1j * t * batch.diag[np.arange(batch.start.size), batch.start])
-                terms = chain_dyson(batch.diag, batch.hop, batch.start, batch.end,
-                                    t, order, tol=tol)
+                terms = chain_dyson(batch.diag, batch.hop, batch.start, batch.end, t, order)
                 total += complex(np.sum(batch.weight * u0 * terms))
         results[(source, target)] = total
     return results
 
 
 def dyson_junction_defect(params: JunctionParams, n_spins: int, t: float,
-                          order: int, elements, gaps=None, tol: float = 1e-10):
+                          order: int, elements, gaps=None):
     """Per-element deviation |exact - D_K U_0| together with the factorial
     bound (2 lambda)^{K+1} t^{K+1} / (K+1)! that holds uniformly in N."""
     gaps = _resolve_gaps(params, gaps)
-    approx = dyson_junction(params, n_spins, t, order, elements, gaps=gaps, tol=tol)
+    approx = dyson_junction(params, n_spins, t, order, elements, gaps=gaps)
     deviations = {}
     for source, target in elements:
         key = (tuple(source), tuple(target))

@@ -30,6 +30,7 @@ __all__ = ["chain_dyson", "ordered_phase_integral"]
 
 _Q_START = 32    # first Gauss-Legendre node count
 _Q_MAX = 4096    # node doubling stops here
+_TOL = 1e-10     # stable once a doubling moves it by <= _TOL * max(1, |result|)
 
 
 @lru_cache(maxsize=16)
@@ -52,8 +53,7 @@ def _operators(q: int):
     return nodes, at_nodes, at_end[0]
 
 
-def chain_dyson(diag, hop, start, ends, t: float, order: int,
-                tol: float = 1e-10) -> np.ndarray:
+def chain_dyson(diag, hop, start, ends, t: float, order: int) -> np.ndarray:
     """``sum_{m <= order} (-i)^m`` times the order-m Dyson term from
     ``start`` to ``ends``, for a batch of tridiagonal chains.
 
@@ -63,7 +63,7 @@ def chain_dyson(diag, hop, start, ends, t: float, order: int,
     the result has shape ``start.shape + ends.shape[1:]``.  The hop out of
     ``start`` is the outermost integral.
 
-    Raises ``NumericalError`` if node doubling never stabilizes to ``tol``.
+    Raises ``NumericalError`` if node doubling never stabilizes to ``_TOL``.
     """
     diag = np.asarray(diag, dtype=float)
     hop = np.asarray(hop, dtype=float)
@@ -108,12 +108,12 @@ def chain_dyson(diag, hop, start, ends, t: float, order: int,
         current = evaluate(q)
         if previous is not None:
             scale = max(1.0, float(np.max(np.abs(current))))
-            if float(np.max(np.abs(current - previous))) <= tol * scale:
+            if float(np.max(np.abs(current - previous))) <= _TOL * scale:
                 return current
         previous = current
         q *= 2
     raise NumericalError(
-        f"simplex quadrature did not stabilize to {tol} below {_Q_MAX} nodes"
+        f"simplex quadrature did not stabilize to {_TOL} below {_Q_MAX} nodes"
     )
 
 
@@ -123,8 +123,7 @@ def ordered_phase_integral(thetas, t: float) -> np.ndarray:
     ``thetas`` (shape ``(k, channels)``): the one-path chain with energies
     ``0, theta_1, theta_1 + theta_2, ...`` and unit hops.
 
-    Raises ``NumericalError`` if node doubling never stabilizes to the
-    default tolerance of ``chain_dyson``.
+    Raises ``NumericalError`` if node doubling never stabilizes to ``_TOL``.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     depth, channels = thetas.shape

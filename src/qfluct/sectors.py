@@ -65,12 +65,18 @@ class ModelParams:
             raise ParameterError(f"epsilon must be non-negative, got {self.epsilon}")
 
 
+# largest spin count measured end to end
+_MAX_SPINS = 2**17
+
+
 def check_spin_count(n_spins: int) -> None:
-    """Reject spin counts that are not even and at least 2.  Every finite-N
-    quantity counts Cooper pairs, so odd counts are rejected rather than
-    silently shifted."""
+    """Reject spin counts that are not even and at least 2, or that exceed
+    ``_MAX_SPINS``.  Every finite-N quantity counts Cooper pairs, so odd
+    counts are rejected rather than silently shifted."""
     if n_spins < 2 or n_spins % 2 != 0:
         raise ParityError(f"n_spins must be even and >= 2, got {n_spins}")
+    if n_spins > _MAX_SPINS:
+        raise ParameterError(f"n_spins must be at most {_MAX_SPINS}, got {n_spins}")
 
 
 def _check_spin(n_spins: int, s) -> None:

@@ -125,6 +125,16 @@ def test_circle_truncation_failure_exit(tmp_path):
     assert code == 4
 
 
+def test_circle_unconverged_dispersion_point_exit(tmp_path, capsys):
+    # the configured n_g = 0 converges (shift 4.9e-12); the dispersion point
+    # n_g = 1.0 moves by 1.4e-8 relative when the window doubles
+    code, out = run(tmp_path, "circle", {"e_c": 1, "e_j": 0.5, "n_max": 4, "levels": 2,
+                                         "dispersion_points": 2, "packet_width": 1.0})
+    assert code == 4
+    assert "n_g=1.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_junction_command(tmp_path):
     code, out = run(tmp_path, "junction",
                     {"left": {"epsilon": 0.0, "t_c": 1.0},
@@ -175,14 +185,20 @@ CONVERGE = {"epsilon": 0.0, "t_c": 1.0, "beta": 2.0}
     ("converge", {**CONVERGE, "w_power": 10**400}),
     ("circle", {**CIRCLE, "n_max": 10**400}),
     ("junction", {**JUNCTION, "dyson_order": 10**400}),
+    ("converge", {**CONVERGE, "n_list": [2**62]}),
+    ("junction", {**JUNCTION, "dyson_n": 2**62}),
+    ("junction", {**JUNCTION, "dyson_n": 3}),
+    ("junction", {**JUNCTION, "dyson_order": -1}),
 ], ids=["junction-time-nan", "circle-ej-nan", "circle-ec-huge-int", "junction-empty-n-list",
         "converge-empty-n-list", "circle-zero-levels", "junction-fractional-n",
         "junction-fractional-element", "converge-huge-n", "converge-huge-w-power",
-        "circle-huge-n-max", "junction-huge-dyson-order"])
+        "circle-huge-n-max", "junction-huge-dyson-order", "converge-n-past-cap",
+        "junction-dyson-n-past-cap", "junction-odd-dyson-n", "junction-negative-dyson-order"])
 def test_malformed_config_is_config_error(tmp_path, capsys, command, config):
-    code, _ = run(tmp_path, command, config)
+    code, out = run(tmp_path, command, config)
     assert code == 2
     assert "config error:" in capsys.readouterr().err
+    assert not out.exists()  # nothing is written before every result is computed
 
 
 def test_converge_rejects_non_positive_spin_counts(tmp_path, capsys):
@@ -196,12 +212,9 @@ def test_converge_rejects_non_positive_spin_counts(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["gap", "--tol", "1e-8"],
     ["selftest", "--config", "cfg.json"],
-    ["selftest", "--tol", "0"],
-    ["selftest", "--tol=-1e-10"],
-    ["selftest", "--tol", "inf"],
-    ["junction", "--tol", "nan"],
-], ids=["gap-tol", "selftest-config", "selftest-tol-zero", "selftest-tol-negative",
-        "selftest-tol-inf", "junction-tol-nan"])
+    ["junction", "--tol", "1e-8"],
+    ["selftest", "--tol", "1e-8"],
+], ids=["gap-tol", "selftest-config", "junction-tol", "selftest-tol"])
 def test_rejected_flags_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -214,9 +227,10 @@ def test_selftest_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_selftest_tolerance_override(capsys):
+def test_selftest_tolerance_override(monkeypatch, capsys):
     # an absurdly tight tolerance must make the oracle comparisons fail
-    assert cli.main(["selftest", "--tol", "1e-30"]) == 1
+    monkeypatch.setattr(cli, "_SELFTEST_TOL", 1e-30)
+    assert cli.main(["selftest"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 

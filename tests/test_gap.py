@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -133,41 +132,6 @@ def test_delta_monotone_and_continuous_in_beta():
     # is a square root, so halving the spacing shrinks it by ~sqrt(2))
     coarse, fine = max_jump(200), max_jump(400)
     assert fine < coarse / 1.2
-
-
-def test_meanfield_normal_phase():
-    sol = gap.solve_gap(0.4, 1.0, 0.8)
-    plus, z = gap.meanfield_spin_expectations(sol, 0.4, 1.0, 0.8)
-    assert plus == 0.0
-    assert z == pytest.approx(math.tanh(0.8 * 0.4), rel=1e-12)
-
-
-def test_meanfield_selfconsistency_closure():
-    for eps, beta in ((0.0, 1e3), (0.0, 2.0), (0.3, 3.0), (0.7, 10.0)):
-        sol = gap.solve_gap(eps, 1.0, beta)
-        if sol.delta == 0:
-            continue
-        plus, _ = gap.meanfield_spin_expectations(sol, eps, 1.0, beta)
-        assert abs(plus) == pytest.approx(sol.delta, abs=1e-9)
-
-
-def test_meanfield_phase_covariance():
-    sol = gap.solve_gap(0.2, 1.0, 4.0)
-    for phi in (0.0, 0.7, -2.5):
-        plus, z = gap.meanfield_spin_expectations(sol, 0.2, 1.0, 4.0, phi)
-        assert cmath.phase(plus) == pytest.approx(phi, abs=1e-12)
-        # modulus and z component are phase independent
-        ref, zref = gap.meanfield_spin_expectations(sol, 0.2, 1.0, 4.0, 0.0)
-        assert abs(plus) == pytest.approx(abs(ref), rel=1e-12)
-        assert z == pytest.approx(zref, rel=1e-12)
-
-
-def test_phase_metadata_does_not_move_delta():
-    a = gap.solve_gap(0.1, 1.0, 3.0, phase=0.0)
-    b = gap.solve_gap(0.1, 1.0, 3.0, phase=2.1)
-    assert a.delta == b.delta
-    assert a.residual == b.residual
-    assert b.phase == 2.1
 
 
 def test_both_branch_residuals_reported():

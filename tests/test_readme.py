@@ -1,0 +1,54 @@
+"""README.md as a test: its example configs run verbatim and write the files
+it lists, and its usage lines name only flags the CLI accepts."""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from qfluct import cli
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def _examples():
+    """``{command: (config, [output file names])}`` from the jsonc block: a
+    ``// <command>.json:`` line opens an example, the JSON lines below it are
+    its config, and the ``// ->`` comment lines list its output files."""
+    examples = {}
+    block = re.search(r"```jsonc\n(.*?)```", README, re.S).group(1)
+    for chunk in re.split(r"^// (?=\w+\.json:)", block, flags=re.M)[1:]:
+        command = chunk.split(".json:", 1)[0]
+        lines = chunk.splitlines()[1:]
+        config = json.loads("".join(l for l in lines if not l.startswith("//")))
+        notes = " ".join(l for l in lines if l.startswith("//"))
+        examples[command] = (config, re.findall(r"[\w{}]+\.(?:csv|json)", notes))
+    return examples
+
+
+EXAMPLES = _examples()
+
+
+@pytest.mark.parametrize("command", ["gap", "converge", "circle", "junction"])
+def test_readme_example_config_runs(tmp_path, command):
+    config, outputs = EXAMPLES[command]
+    cfg_path = tmp_path / f"{command}.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "results"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    want = {name.format(n=n) for name in outputs
+            for n in (config["n_list"] if "{n}" in name else [None])}
+    assert want and {p.name for p in out.iterdir()} == want
+
+
+def test_readme_usage_lines_parse():
+    # optional arguments are shown in brackets; they must parse too
+    usage = [shlex.split(line.replace("[", "").replace("]", ""))[1:]
+             for line in README.splitlines() if line.startswith("qfluct ")]
+    assert [argv[0] for argv in usage] == ["gap", "converge", "circle", "junction",
+                                           "selftest"]
+    parser = cli._build_parser()
+    for argv in usage:
+        parser.parse_args(argv)  # exits 2 on a flag the command does not know
