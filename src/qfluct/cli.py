@@ -16,6 +16,7 @@ unexpected exception, reported on one ``internal error:`` line).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -29,7 +30,6 @@ from . import circle, correlators, dense, gap, junction, sectors
 from .errors import (NormalPhaseError, NumericalError, ParameterError,
                      SolverError, TruncationError)
 
-DEFAULT_N_LIST = [64, 128, 256, 512, 1024, 2048, 4096]
 # largest deviation from the dense oracles that `selftest` passes
 _SELFTEST_TOL = 1e-10
 
@@ -51,15 +51,6 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _check_keys(cfg: dict, allowed, required):
-    unknown = sorted(set(cfg) - set(allowed))
-    if unknown:
-        raise ParameterError(f"unknown config keys: {', '.join(unknown)}")
-    missing = sorted(set(required) - set(cfg))
-    if missing:
-        raise ParameterError(f"missing config keys: {', '.join(missing)}")
-
-
 def _is_num(value) -> bool:
     # finite and representable as a float: rejects NaN, inf and huge integers
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -70,70 +61,90 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and _is_num(value)
 
 
-def _num(cfg, key, default=None):
-    value = cfg.get(key, default)
-    if not _is_num(value):
-        raise ParameterError(f"config key '{key}' must be a finite number")
-    return float(value)
+def _is_list(value, valid) -> bool:
+    return isinstance(value, list) and all(map(valid, value))
 
 
-def _int(cfg, key, default=None):
-    value = cfg.get(key, default)
-    if not _is_int(value):
-        raise ParameterError(f"config key '{key}' must be an integer")
-    return value
+def _is_factor(value) -> bool:  # a word factor [alpha, n >= 0, m >= 0]
+    return (_is_list(value, _is_num) and len(value) == 3
+            and all(_is_int(v) and v >= 0 for v in value[1:]))
 
 
-def _num_list(cfg, key, default=None):
-    value = cfg.get(key, default)
-    if not isinstance(value, list) or not all(_is_num(v) for v in value):
-        raise ParameterError(f"config key '{key}' must be a list of finite numbers")
-    return [float(v) for v in value]
+def _parser(valid, expected: str, convert=lambda value: value):
+    """The ``(key, value)`` parser of one value type: ``convert(value)`` for a
+    value that ``valid`` accepts, else a ``ParameterError`` saying what the
+    key must be."""
+    def parse(key, value):
+        if not valid(value):
+            raise ParameterError(f"config key '{key}' must be {expected}")
+        return convert(value)
+    return parse
 
 
-def _int_list(cfg, key, default=None):
-    value = cfg.get(key, default)
-    if not isinstance(value, list) or not value or not all(_is_int(v) for v in value):
-        raise ParameterError(f"config key '{key}' must be a non-empty list of integers")
-    return value
+_num = _parser(_is_num, "a finite number", float)
+_int = _parser(_is_int, "an integer")
+_num_list = _parser(lambda v: _is_list(v, _is_num), "a list of finite numbers",
+                    lambda v: [float(x) for x in v])
+_int_list = _parser(lambda v: _is_list(v, _is_int) and v != [],
+                    "a non-empty list of integers")
+_word = _parser(lambda v: _is_list(v, _is_factor),
+                "a list of [alpha, n>=0, m>=0] triples",
+                correlators.FluctuationWord.from_triples)
+_elements = _parser(
+    lambda v: _is_list(v, lambda e: _is_list(e, _is_int) and len(e) == 4) and v != [],
+    "a non-empty list of [nL, nR, nL', nR'] integer quadruples",
+    lambda v: [((e[0], e[1]), (e[2], e[3])) for e in v])
+_layer = _parser(lambda v: isinstance(v, dict), "an object",
+                 lambda v: _read(v, _LAYER_KEYS))
 
 
-def _parse_word(raw) -> correlators.FluctuationWord:
-    if not isinstance(raw, list):
-        raise ParameterError("word must be a list of [alpha, n, m] triples")
-    triples = []
-    for item in raw:
-        if (not isinstance(item, list) or len(item) != 3 or not _is_num(item[0])
-                or not _is_int(item[1]) or not _is_int(item[2])
-                or item[1] < 0 or item[2] < 0):
-            raise ParameterError(f"malformed word factor {item!r}, "
-                                 "expected [alpha, n>=0, m>=0]")
-        triples.append(item)
-    return correlators.FluctuationWord.from_triples(triples)
+def _read(cfg: dict, keys: dict) -> dict:
+    """Every key of one ``{key: (parser, default)}`` table, parsed from ``cfg``
+    in table order; a callable default is computed from the keys before it."""
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ParameterError(f"unknown config keys: {', '.join(unknown)}")
+    missing = sorted(k for k, (_, d) in keys.items() if d is _REQUIRED and k not in cfg)
+    if missing:
+        raise ParameterError(f"missing config keys: {', '.join(missing)}")
+    values = {}
+    for key, (parse, default) in keys.items():
+        if key not in cfg and callable(default):
+            default = default(values)
+        values[key] = parse(key, cfg.get(key, default))
+    return values
+
+
+_REQUIRED = object()  # the default of a key that every config sets
+_LAYER_KEYS = {"epsilon": (_num, _REQUIRED), "t_c": (_num, _REQUIRED), "mu": (_num, 0.0)}
+# {command: {key: (parser, default)}}, the one place a config key is named
+_CONFIG_KEYS = {
+    "gap": {"epsilon": (_num, _REQUIRED), "t_c": (_num, _REQUIRED), "lambda": (_num, 1.0),
+            "betas": (_num_list, _REQUIRED)},
+    "converge": {"epsilon": (_num, _REQUIRED), "t_c": (_num, _REQUIRED),
+                 "beta": (_num, _REQUIRED), "mu": (_num, 0.0),
+                 "word": (_word, [[0.0, 1, 1]]),
+                 "n_list": (_int_list, [64, 128, 256, 512, 1024, 2048, 4096]),
+                 "w_power": (_int, 1), "time": (_num, 1.0)},
+    "circle": {"e_c": (_num, _REQUIRED), "e_j": (_num, _REQUIRED), "n_g": (_num, 0.0),
+               "charge_offset": (_num, 0.0), "n_max": (_int, 32), "levels": (_int, 5),
+               "dispersion_points": (_int, 21), "phase_points": (_int, 25),
+               "packet_width": (_num, 0.5)},
+    "junction": {"left": (_layer, _REQUIRED), "right": (_layer, _REQUIRED),
+                 "beta": (_num, _REQUIRED), "lambda": (_num, _REQUIRED),
+                 "e_c": (_num, _REQUIRED), "n_g": (_num, 0.0), "time": (_num, _REQUIRED),
+                 "n_list": (_int_list, [4, 8, 12]),
+                 "elements": (_elements, [[0, 0, 1, -1]]), "dyson_order": (_int, 2),
+                 "dyson_n": (_int, lambda c: min(c["n_list"]))},
+}
 
 
 # ------------------------------------------------------------------- output
 
-def _config_hash(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def _provenance(command: str, cfg: dict, extra: dict | None = None) -> dict:
-    prov = {
-        "command": command,
-        "config_sha256": _config_hash(cfg),
-        "package": f"qfluct {__version__}",
-    }
-    if extra:
-        prov.update(extra)
-    return prov
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+    return {"command": command, "config_sha256": hashlib.sha256(blob).hexdigest(),
+            "package": f"qfluct {__version__}", **(extra or {})}
 
 
 def _write_csv(path: Path, prov: dict, header, rows):
@@ -143,7 +154,8 @@ def _write_csv(path: Path, prov: dict, header, rows):
             fh.write(f"# {key}={prov[key]}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
 def _write_json(path: Path, prov: dict, payload: dict):
@@ -163,35 +175,24 @@ def _gap_provenance(tag: str, sol: gap.GapSolution) -> dict:
     }
 
 
-def _gap_json(sol: gap.GapSolution) -> dict:
-    return {
-        "delta": sol.delta, "omega": sol.omega, "c": sol.c, "phase": sol.phase,
-        "converged": sol.converged, "residual": sol.residual,
-        "iterations": sol.iterations, "normal_residual": sol.normal_residual,
-    }
-
-
 # ----------------------------------------------------------------- commands
 
 def cmd_gap(args) -> int:
     cfg = _load_config(args.config)
-    _check_keys(cfg, {"epsilon", "t_c", "lambda", "betas"}, {"epsilon", "t_c", "betas"})
-    epsilon = _num(cfg, "epsilon")
-    t_c = _num(cfg, "t_c")
-    lam = _num(cfg, "lambda", 1.0)
-    betas = _num_list(cfg, "betas")
+    c = _read(cfg, _CONFIG_KEYS["gap"])
+    betas = c["betas"]
     if len(set(betas)) != len(betas):
         print("warning: duplicate beta values deduplicated", file=sys.stderr)
         betas = list(dict.fromkeys(betas))
 
-    rows = gap.critical_current_curve(lam, epsilon, t_c, betas)
-    coldest = gap.solve_gap(epsilon, t_c, max(betas))
+    rows = gap.critical_current_curve(c["lambda"], c["epsilon"], c["t_c"], betas)
+    coldest = gap.solve_gap(c["epsilon"], c["t_c"], max(betas))
 
     out = Path(args.out)
     prov = _provenance("gap", cfg, _gap_provenance("coldest", coldest))
     _write_csv(out / "gap_curve.csv", prov,
                ["T", "beta", "delta", "bold_delta", "E_J"], rows)
-    _write_json(out / "gap_solution.json", prov, _gap_json(coldest))
+    _write_json(out / "gap_solution.json", prov, dataclasses.asdict(coldest))
     print(f"gap: {len(rows)} temperatures, coldest delta={coldest.delta:.6g} "
           f"-> {out / 'gap_curve.csv'}")
     return 0
@@ -199,28 +200,21 @@ def cmd_gap(args) -> int:
 
 def cmd_converge(args) -> int:
     cfg = _load_config(args.config)
-    _check_keys(cfg,
-                {"epsilon", "t_c", "beta", "mu", "word", "n_list", "w_power", "time"},
-                {"epsilon", "t_c", "beta"})
-    params = sectors.ModelParams(
-        epsilon=_num(cfg, "epsilon"), t_c=_num(cfg, "t_c"),
-        beta=_num(cfg, "beta"), mu=_num(cfg, "mu", 0.0),
-    )
-    word = _parse_word(cfg.get("word", [[0.0, 1, 1]]))
-    n_list = _int_list(cfg, "n_list", DEFAULT_N_LIST)
-    w_power = _int(cfg, "w_power", 1)
-    w_time = _num(cfg, "time", 1.0)
+    c = _read(cfg, _CONFIG_KEYS["converge"])
+    params = sectors.ModelParams(epsilon=c["epsilon"], t_c=c["t_c"], beta=c["beta"],
+                                 mu=c["mu"])
+    n_list = c["n_list"]
 
     sol = gap.solve_gap(params.epsilon, params.t_c, params.beta)
     if sol.delta <= 0:
         raise NormalPhaseError(
             "requested temperature is in the normal phase; no fluctuation sweep")
 
-    sweep = correlators.convergence_sweep(params, word, sol, n_list)
+    sweep = correlators.convergence_sweep(params, c["word"], sol, n_list)
     w_rows = []
     # largest sizes first: their tables are the ones the sweep left cached
     for n in reversed(n_list):
-        w_val = correlators.w_expectation(params, n, w_power, w_time)
+        w_val = correlators.w_expectation(params, n, c["w_power"], c["time"])
         w_rows.append((n, w_val.real, w_val.imag, abs(w_val - 1.0)))
     w_rows.reverse()
 
@@ -233,10 +227,7 @@ def cmd_converge(args) -> int:
     w_errs = [row[3] for row in w_rows]
     fit_payload = {
         "prediction": [sweep.prediction.real, sweep.prediction.imag],
-        "fit": None if sweep.fit is None else {
-            "exponent": sweep.fit.exponent, "amplitude": sweep.fit.amplitude,
-            "residual_rms": sweep.fit.residual_rms, "n_points": sweep.fit.n_points,
-        },
+        "fit": None if sweep.fit is None else dataclasses.asdict(sweep.fit),
         # largest error sector pruning may add to a correlator value
         "discarded_bound": sweep.discarded_bound,
         # measured approach of <W(t)^m> to 1, reported rather than asserted
@@ -246,7 +237,7 @@ def cmd_converge(args) -> int:
         },
     }
     _write_json(out / "converge_fit.json", prov, fit_payload)
-    _write_json(out / "word_echo.json", prov, {"word": word.to_triples()})
+    _write_json(out / "word_echo.json", prov, {"word": c["word"].to_triples()})
     exp_text = "n/a" if sweep.fit is None else f"{sweep.fit.exponent:.3f}"
     print(f"converge: {len(n_list)} sizes, fitted exponent {exp_text} "
           f"-> {out / 'converge_correlator.csv'}")
@@ -255,19 +246,12 @@ def cmd_converge(args) -> int:
 
 def cmd_circle(args) -> int:
     cfg = _load_config(args.config)
-    _check_keys(cfg,
-                {"e_c", "e_j", "n_g", "charge_offset", "n_max", "levels",
-                 "dispersion_points", "phase_points", "packet_width"},
-                {"e_c", "e_j"})
-    params = circle.CircuitParams(
-        e_c=_num(cfg, "e_c"), e_j=_num(cfg, "e_j"),
-        n_g=_num(cfg, "n_g", 0.0), charge_offset=_num(cfg, "charge_offset", 0.0),
-    )
-    trunc = circle.ChargeBasisTruncation(_int(cfg, "n_max", 32), params.charge_offset)
-    levels = _int(cfg, "levels", 5)
-    dispersion_points = _int(cfg, "dispersion_points", 21)
-    phase_points = _int(cfg, "phase_points", 25)
-    width = _num(cfg, "packet_width", 0.5)
+    c = _read(cfg, _CONFIG_KEYS["circle"])
+    params = circle.CircuitParams(e_c=c["e_c"], e_j=c["e_j"], n_g=c["n_g"],
+                                  charge_offset=c["charge_offset"])
+    trunc = circle.ChargeBasisTruncation(c["n_max"], params.charge_offset)
+    levels, dispersion_points = c["levels"], c["dispersion_points"]
+    phase_points, width = c["phase_points"], c["packet_width"]
 
     def converged_spectrum(circuit):
         result = circle.spectrum(circuit, trunc, levels)
@@ -304,40 +288,18 @@ def cmd_circle(args) -> int:
 
 def cmd_junction(args) -> int:
     cfg = _load_config(args.config)
-    _check_keys(cfg,
-                {"left", "right", "beta", "lambda", "e_c", "n_g", "time",
-                 "n_list", "elements", "dyson_order", "dyson_n"},
-                {"left", "right", "beta", "lambda", "e_c", "time"})
-    layer_cfgs = []
-    for side in ("left", "right"):
-        sub = cfg[side]
-        if not isinstance(sub, dict):
-            raise ParameterError(f"config key '{side}' must be an object")
-        _check_keys(sub, {"epsilon", "t_c", "mu"}, {"epsilon", "t_c"})
-        layer_cfgs.append(sectors.ModelParams(
-            epsilon=_num(sub, "epsilon"), t_c=_num(sub, "t_c"),
-            beta=_num(cfg, "beta"), mu=_num(sub, "mu", 0.0)))
-
+    c = _read(cfg, _CONFIG_KEYS["junction"])
     params = junction.JunctionParams(
-        left=layer_cfgs[0], right=layer_cfgs[1], lam=_num(cfg, "lambda"),
-        e_c=_num(cfg, "e_c"), n_g=_num(cfg, "n_g", 0.0), beta=_num(cfg, "beta"),
+        left=sectors.ModelParams(**c["left"], beta=c["beta"]),
+        right=sectors.ModelParams(**c["right"], beta=c["beta"]),
+        lam=c["lambda"], e_c=c["e_c"], n_g=c["n_g"], beta=c["beta"],
     )
-    t = _num(cfg, "time")
-    n_list = _int_list(cfg, "n_list", [4, 8, 12])
-    raw_elements = cfg.get("elements", [[0, 0, 1, -1]])
-    if (not isinstance(raw_elements, list) or not raw_elements
-            or any(not isinstance(e, list) or len(e) != 4
-                   or not all(_is_int(v) for v in e) for e in raw_elements)):
-        raise ParameterError("elements must be a non-empty list of "
-                             "[nL, nR, nL', nR'] integer quadruples")
-    elements = [((e[0], e[1]), (e[2], e[3])) for e in raw_elements]
-    order = _int(cfg, "dyson_order", 2)
-    dyson_n = _int(cfg, "dyson_n", min(n_list))
+    t, n_list, elements, order = c["time"], c["n_list"], c["elements"], c["dyson_order"]
 
     gaps = junction.layer_gaps(params)
     # every result is computed before the first file is written
     deviations, bound = junction.dyson_junction_defect(
-        params, dyson_n, t, order, elements, gaps=gaps)
+        params, c["dyson_n"], t, order, elements, gaps=gaps)
     rows_by_n = junction.meso_compare(params, n_list, elements, t, gaps=gaps)
 
     out = Path(args.out)
@@ -348,31 +310,26 @@ def cmd_junction(args) -> int:
         table = []
         for row in rows_by_n:
             value = row.finite_values[i]
-            table.append((row.source[0], row.source[1], row.target[0], row.target[1],
-                          t, value.real, value.imag, row.abs_errors[i]))
+            table.append((*row.source, *row.target, t, value.real, value.imag,
+                          row.abs_errors[i]))
         _write_csv(out / f"elements_N{n}.csv", prov,
                    ["nL", "nR", "nLp", "nRp", "t", "re", "im", "abs_err_vs_meso"],
                    table)
 
     _write_csv(out / "dyson_report.csv", prov,
                ["N", "K", "t", "bound", "measured_max_abs_dev"],
-               [(dyson_n, order, t, bound, max(deviations.values()))])
+               [(c["dyson_n"], order, t, bound, max(deviations.values()))])
 
     manifest = {
-        "params": {
-            "left": {"epsilon": params.left.epsilon, "t_c": params.left.t_c,
-                     "mu": params.left.mu},
-            "right": {"epsilon": params.right.epsilon, "t_c": params.right.t_c,
-                      "mu": params.right.mu},
-            "lambda": params.lam, "e_c": params.e_c, "n_g": params.n_g,
-            "beta": params.beta, "time": t,
-        },
-        "gap_solutions": {"left": _gap_json(gaps[0]), "right": _gap_json(gaps[1])},
+        "params": {key: c[key] for key in
+                   ("left", "right", "lambda", "e_c", "n_g", "beta", "time")},
+        "gap_solutions": {side: dataclasses.asdict(sol)
+                          for side, sol in zip(("left", "right"), gaps)},
         "gap_source": "solve_gap at common beta",
         "n_list": n_list,
-        "elements": [[s[0], s[1], d[0], d[1]] for s, d in elements],
+        "elements": [[*s, *d] for s, d in elements],
         "trend": [
-            {"element": [r.source[0], r.source[1], r.target[0], r.target[1]],
+            {"element": [*r.source, *r.target],
              "non_increasing_after_first": r.non_increasing_after_first,
              "final_over_initial": r.final_over_initial}
             for r in rows_by_n
@@ -434,15 +391,10 @@ def _selftest_correlators(report) -> bool:
             worst = max(worst, abs(fast - slow))
         ok &= report(f"correlators vs dense (N={n})", worst, _SELFTEST_TOL)
 
-        worst = 0.0
-        for m in (0, 1, 2):
-            fast = correlators.single_layer_evolution_element(
-                params, n, m, m, 0.8, sol)
-            slow = dense.dense_evolution_element(params, n, m, m, 0.8, sol)
-            worst = max(worst, abs(fast - slow))
-        fast = correlators.single_layer_evolution_element(params, n, 0, 1, 0.8, sol)
-        slow = dense.dense_evolution_element(params, n, 0, 1, 0.8, sol)
-        worst = max(worst, abs(fast - slow))
+        worst = max(abs(correlators.single_layer_evolution_element(
+                            params, n, a, b, 0.8, sol)
+                        - dense.dense_evolution_element(params, n, a, b, 0.8, sol))
+                    for a, b in ((0, 0), (1, 1), (2, 2), (0, 1)))
         ok &= report(f"evolution elements vs dense (N={n})", worst, _SELFTEST_TOL)
 
         worst = max(abs(correlators.w_expectation(params, n, m, 0.9)

@@ -126,17 +126,15 @@ def _ladder_walk(s: np.ndarray, sz: np.ndarray, word: FluctuationWord):
     log_amp = np.zeros_like(cur)
     alive = np.ones(cur.shape, dtype=bool)
     s2 = s * (s + 1.0)
+    # every walk has left [-s, s] after 2 max(s) + 1 steps in one direction
+    max_run = int(2.0 * np.max(s, initial=0.0)) + 1
     for factor in reversed(word.factors):
-        for _ in range(factor.m):
-            c2 = s2 - cur * (cur + 1.0)
-            alive &= c2 > 0.0
-            log_amp += 0.5 * np.log(np.where(c2 > 0.0, c2, 1.0))
-            cur += 1.0
-        for _ in range(factor.n):
-            c2 = s2 - cur * (cur - 1.0)
-            alive &= c2 > 0.0
-            log_amp += 0.5 * np.log(np.where(c2 > 0.0, c2, 1.0))
-            cur -= 1.0
+        for count, step in ((factor.m, 1.0), (factor.n, -1.0)):
+            for _ in range(min(count, max_run)):
+                c2 = s2 - cur * (cur + step)
+                alive &= c2 > 0.0
+                log_amp += 0.5 * np.log(np.where(c2 > 0.0, c2, 1.0))
+                cur += step
     return log_amp, alive
 
 
@@ -175,7 +173,7 @@ class ConvergenceResult:
     weights are renormalized to one) times ``(1/c)^k``, the largest
     modulus of a k-step ladder walk, each step being at most
     ``(N + 1) / 2`` over ``c N``.  It is 0 when the values are exact
-    without a sector sum.
+    without a sector sum or no entry was dropped, and inf past float range.
     """
 
     word: FluctuationWord
@@ -206,7 +204,12 @@ def convergence_sweep(params: ModelParams, word: FluctuationWord, gap: GapSoluti
         values.append(correlation_finite_n(params, n, word, gap))
         if walks:  # the table the walk just used, still cached
             dropped = max(dropped, thermal_table(params, n).discarded_bound)
-    bound = 2.0 * dropped * _require_gap(gap) ** -steps if walks else 0.0
+    bound = 0.0  # exactly, when no walk needed a table or no entry was dropped
+    if dropped > 0.0:
+        try:
+            bound = 2.0 * dropped * _require_gap(gap) ** -steps
+        except OverflowError:  # (1/c)^steps > 1.8e308 and dropped >= e^-100: > 1e265
+            bound = math.inf
 
     errors = [abs(v - target) for v in values]
     fit = None

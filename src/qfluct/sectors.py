@@ -283,7 +283,10 @@ def ladder_coefficient(s, s_z, k: int):
     step = 1.0 if k >= 0 else -1.0
     s2 = s * (s + 1.0)
     value = np.where(np.abs(m) > s, 0.0, 1.0)
-    for _ in range(abs(k)):
+    steps = abs(k)
+    if steps > 1:  # every walk has left [-s, s] after 2 max(s) + 1 steps
+        steps = min(steps, int(2.0 * np.max(s, initial=0.0)) + 1)
+    for _ in range(steps):
         value = value * np.sqrt(np.maximum(s2 - m * (m + step), 0.0))
         m = m + step
     return float(value) if value.ndim == 0 else value

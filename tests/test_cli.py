@@ -1,4 +1,9 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +212,57 @@ def test_converge_rejects_non_positive_spin_counts(tmp_path, capsys):
                                          "word": [[0.3, 0, 0]], "time": 0})
     assert code == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def run_child(tmp_path, command, config):
+    """Run the CLI in a child process, so that a run that hangs fails the
+    test at the timeout instead of stalling the suite."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfluct.cli", command, "--config", str(cfg_path),
+         "--out", str(out)], env=env, capture_output=True, text=True, timeout=30)
+    return proc, out
+
+
+def test_long_pair_word_reports_zero_bound(tmp_path):
+    # 600 raise-lower pairs: (1/c)^1200 is past float range, but no table
+    # up to N = 32 drops an entry, so the bound is exactly 0
+    proc, out = run_child(tmp_path, "converge", {**CONVERGE, "word": [[0.0, 600, 600]],
+                                                 "n_list": [4, 8, 16, 32]})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "converge_fit.json").read_text())["discarded_bound"] == 0.0
+
+
+def test_long_pair_word_bound_saturates(tmp_path):
+    # the N >= 64 tables drop entries, so the bound is past float range
+    proc, out = run_child(tmp_path, "converge", {**CONVERGE, "word": [[0.0, 600, 600]],
+                                                 "n_list": [64, 128, 256, 512]})
+    assert proc.returncode == 0, proc.stderr
+    fit = json.loads((out / "converge_fit.json").read_text())
+    assert fit["discarded_bound"] == math.inf
+
+
+def test_huge_word_power_finishes(tmp_path):
+    # every walk leaves [-s, s] within 2s + 1 steps, whatever the power
+    proc, out = run_child(tmp_path, "converge", {**CONVERGE, "n_list": [4, 8],
+                                                 "word": [[0.0, 10**12, 10**12]]})
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "converge_fit.json").exists()
+
+
+def test_huge_charge_element_is_config_error(tmp_path):
+    # the finite-N element is exactly 0, but the charge is off the circle
+    # comparator's grid
+    proc, out = run_child(tmp_path, "junction",
+                          {**JUNCTION, "elements": [[0, 0, 10**12, -10**12]]})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

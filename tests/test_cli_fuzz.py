@@ -24,11 +24,13 @@ SIZE_POOL = [v for v in POOL if v is not BIG] + [
     [-4, 0, 4, 8], [2, 3], [4, 2.5], [4, None], [2, 4, 6, 8], [4, 8]]
 SIZE_KEYS = {"n_list", "n_max", "dyson_n", "dyson_order", "levels",
              "dispersion_points", "phase_points"}
-# word powers and charge labels are walk lengths, so they stay small too
+# word powers and charge labels are walk lengths; a walk stops once it has
+# left [-s, s], so huge ones cost no more than small ones
 WORDS = [[[0.0, 1, 1]], [[0.3, 0, 0]], [[0.0, 0, 1]], [[0.4, 0, 1], [-1.1, 1, 0]],
-         [[0.0, 1]], [[0.0, -1, 2]], [[math.nan, 1, 1]], [[0.0, 1.5, 1]]]
+         [[0.0, 1]], [[0.0, -1, 2]], [[math.nan, 1, 1]], [[0.0, 1.5, 1]],
+         [[0.0, 600, 600]], [[0.0, 10**12, 10**12]]]
 ELEMENTS = [[[0, 0, 1, -1]], [[0, 0, 1, 1]], [[1, -1, 1, -1], [0, 0, 0, 0]],
-            [[0.5, 0, 1, -1]], [[0, 0, 1]], [[0, None, 1, -1]]]
+            [[0.5, 0, 1, -1]], [[0, 0, 1]], [[0, None, 1, -1]], [[0, 0, 10**12, -10**12]]]
 LAYER = {"epsilon": 0.0, "t_c": 1.0}
 
 VALID = {

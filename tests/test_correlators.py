@@ -19,6 +19,11 @@ WORDS = [
     [[0.5, 0, 0], [1.0, 0, 0]],
     [[0.0, 0, 1]],
     [[0.2, 2, 0], [0.0, 0, 1]],
+    # at N = 4 the longest walks that stay in [-s, s] raise 2s = 4 times from
+    # s_z = -2; one step more leaves every sector
+    [[0.0, 4, 4]],
+    [[0.3, 2, 0], [0.0, 2, 4]],
+    [[0.0, 5, 5]],
 ]
 
 

@@ -1,5 +1,6 @@
 """README.md as a test: its example configs run verbatim and write the files
-it lists, and its usage lines name only flags the CLI accepts."""
+it lists, its usage lines name only flags the CLI accepts, and its config
+key list is the CLI's key table."""
 
 import json
 import re
@@ -52,3 +53,35 @@ def test_readme_usage_lines_parse():
     parser = cli._build_parser()
     for argv in usage:
         parser.parse_args(argv)  # exits 2 on a flag the command does not know
+
+
+def _documented_keys():
+    """``{name: {key: default text, or None if required}}`` from the bullets
+    below "Config keys": ``* `name`...: `a`, `b` required; `c` = `1.0`, ...``."""
+    block = README.split("\nConfig keys", 1)[1].split("\n\n")[1]
+    documented = {}
+    for bullet in block.split("\n* "):
+        name, keys = " ".join(bullet.split()).split(": ", 1)
+        required, defaults = keys.split(" required; ")
+        documented[re.search(r"`(\w+)`", name).group(1)] = {
+            **{key: None for key in re.findall(r"`(\w+)`", required)},
+            **dict(re.findall(r"`(\w+)` = `([^`]*)`", defaults)),
+        }
+    return documented
+
+
+def test_readme_config_keys_match_the_cli_table():
+    tables = {**cli._CONFIG_KEYS, "left": cli._LAYER_KEYS}
+    documented = _documented_keys()
+    assert set(documented) == set(tables)
+    for name, table in tables.items():
+        want = {}
+        for key, (_, default) in table.items():
+            if default is cli._REQUIRED:
+                want[key] = None
+            elif callable(default):  # computed from the keys before it
+                assert default({"n_list": [8, 4, 12]}) == 4
+                want[key] = "min(n_list)"
+            else:
+                want[key] = json.dumps(default)
+        assert documented[name] == want, name
