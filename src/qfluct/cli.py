@@ -343,6 +343,12 @@ def cmd_junction(args) -> int:
 
 # ----------------------------------------------------------------- selftest
 
+def _worst(differences) -> float:
+    """Largest ``|difference|``; a NaN, which Python's ``max`` may drop,
+    propagates so that the check fails."""
+    return float(np.max([abs(d) for d in differences]))
+
+
 def _selftest_sectors(report) -> bool:
     ok = True
     params = sectors.ModelParams(epsilon=0.7, t_c=1.0, beta=1.3)
@@ -375,31 +381,27 @@ def _selftest_correlators(report) -> bool:
     ok = True
     params = sectors.ModelParams(epsilon=0.3, t_c=1.0, beta=1.6, mu=0.2)
     sol = gap.solve_gap(params.epsilon, params.t_c, params.beta)
-    words = [
+    words = [correlators.FluctuationWord.from_triples(triples) for triples in (
         [[0.0, 1, 1]],
         [[0.0, 0, 1], [0.0, 1, 0]],
         [[0.4, 0, 1], [-1.1, 1, 0]],
         [[0.9, 1, 2], [0.0, 2, 1]],
         [[0.0, 0, 2], [0.3, 1, 0], [0.0, 1, 0]],
-    ]
+    )]
     for n in (2, 4):
-        worst = 0.0
-        for triples in words:
-            word = correlators.FluctuationWord.from_triples(triples)
-            fast = correlators.correlation_finite_n(params, n, word, sol)
-            slow = dense.dense_correlation(params, n, word, sol)
-            worst = max(worst, abs(fast - slow))
+        worst = _worst(correlators.correlation_finite_n(params, n, word, sol)
+                       - dense.dense_correlation(params, n, word, sol)
+                       for word in words)
         ok &= report(f"correlators vs dense (N={n})", worst, _SELFTEST_TOL)
 
-        worst = max(abs(correlators.single_layer_evolution_element(
-                            params, n, a, b, 0.8, sol)
-                        - dense.dense_evolution_element(params, n, a, b, 0.8, sol))
-                    for a, b in ((0, 0), (1, 1), (2, 2), (0, 1)))
+        worst = _worst(correlators.single_layer_evolution_element(params, n, a, b, 0.8, sol)
+                       - dense.dense_evolution_element(params, n, a, b, 0.8, sol)
+                       for a, b in ((0, 0), (1, 1), (2, 2), (0, 1)))
         ok &= report(f"evolution elements vs dense (N={n})", worst, _SELFTEST_TOL)
 
-        worst = max(abs(correlators.w_expectation(params, n, m, 0.9)
-                        - dense.dense_w_expectation(params, n, m, 0.9))
-                    for m in (1, 2))
+        worst = _worst(correlators.w_expectation(params, n, m, 0.9)
+                       - dense.dense_w_expectation(params, n, m, 0.9)
+                       for m in (1, 2))
         ok &= report(f"dephasing expectation vs dense (N={n})", worst, _SELFTEST_TOL)
     return ok
 
@@ -414,13 +416,12 @@ def _selftest_junction(report) -> bool:
     pl, pr = params.layer_params()
     oracle = dense.DenseJunction(pl, pr, params.lam, params.e_c, params.n_g,
                                  gaps[0], gaps[1], 2)
-    worst = 0.0
-    for source, target in [((0, 0), (0, 0)), ((0, 0), (1, -1)), ((1, -1), (1, -1)),
-                           ((1, 0), (0, 1)), ((0, 0), (1, 1))]:
-        fast = junction.evolution_element(params, 2, source, target, 0.7,
-                                          gaps=gaps).value
-        slow = oracle.element(source, target, 0.7)
-        worst = max(worst, abs(fast - slow))
+    worst = _worst(junction.evolution_element(params, 2, source, target, 0.7,
+                                              gaps=gaps).value
+                   - oracle.element(source, target, 0.7)
+                   for source, target in [((0, 0), (0, 0)), ((0, 0), (1, -1)),
+                                          ((1, -1), (1, -1)), ((1, 0), (0, 1)),
+                                          ((0, 0), (1, 1))])
     return report("junction elements vs dense (N=2)", worst, _SELFTEST_TOL)
 
 

@@ -10,7 +10,11 @@ hops ``(a, b) -> (a+1, b-1)``, so the block further decomposes into
 tridiagonal chains of fixed ``a + b`` (total charge is conserved).  Matrix
 elements of the propagator between charge-transfer states are therefore
 exact sums over chains of small tridiagonal problems, built in one batch
-per left sector; nothing global is ever materialized.
+per left sector.  A batch's chains are laid end to end (a chain's last hop
+is exactly zero, so the solver splits them apart again) and solved in packs
+of whole chains, one ``eigh_tridiagonal`` per pack of at most 128 sites
+(a longer chain is a pack of its own).  Nothing global is ever
+materialized: a pack's eigenvectors take at most 128^2 doubles.
 
 Energy scales: hopping enters as ``lambda / N^2`` (tunneling is a surface
 effect), and the large-N coupling of the relative phase is
@@ -168,6 +172,41 @@ def _charge_labels(source, target):
     return (int(source[0]), int(source[1])), (int(target[0]), int(target[1]))
 
 
+# most sites of one tridiagonal solve, unless a single chain is longer
+_PACK_SITES = 128
+
+
+def _chain_elements(batch: ChainBatch, t: float) -> np.ndarray:
+    """``<end| exp(-i t H_c) |start>`` of every chain ``c`` of a batch.
+
+    The chains are laid end to end; each chain's last hop is exactly zero,
+    so the tridiagonal solver splits the sequence back into its chains and
+    every eigenvector lives on one chain.  The sequence is cut at chain
+    boundaries into packs of at most ``_PACK_SITES`` sites, one solve each,
+    so a pack's eigenvectors take at most 128^2 doubles (a chain longer than
+    that, possible from N = 128 on, is a pack of its own)."""
+    live = np.arange(batch.diag.shape[1]) < batch.length[:, None]
+    hop = np.zeros_like(batch.diag)
+    hop[:, :-1] = batch.hop
+    diag, hop = batch.diag[live], hop[live]
+    stops = np.cumsum(batch.length)  # chain c holds the sites firsts[c] .. stops[c] - 1
+    firsts = stops - batch.length
+    source, target = firsts + batch.start, firsts + batch.end
+    values = np.empty(batch.length.size, dtype=complex)
+    lo = 0
+    while lo < batch.length.size:
+        hi = max(lo + 1, int(np.searchsorted(stops, firsts[lo] + _PACK_SITES, "right")))
+        first, stop = firsts[lo], stops[hi - 1]
+        if stop - first > 1:
+            evals, vecs = eigh_tridiagonal(diag[first:stop], hop[first:stop - 1])
+        else:
+            evals, vecs = diag[first:stop], np.ones((1, 1))
+        values[lo:hi] = ((vecs[target[lo:hi] - first] * vecs[source[lo:hi] - first])
+                         @ np.exp(-1j * t * evals))
+        lo = hi
+    return values
+
+
 def evolution_element(params: JunctionParams, n_spins: int, source, target,
                       t: float, gaps=None) -> TransitionElement:
     """Exact propagator matrix element between charge-transfer states,
@@ -175,7 +214,10 @@ def evolution_element(params: JunctionParams, n_spins: int, source, target,
 
     Total charge is conserved exactly: elements with
     ``n_L + n_R != n_L' + n_R'`` vanish identically and are returned as 0
-    without touching the blocks.
+    without touching the blocks.  Each left-sector batch is solved in packs
+    of whole chains, at most ``_PACK_SITES`` sites and one eigenvector
+    block of at most 128^2 doubles at a time, and its weighted chain
+    elements are added by one dot product.
     """
     check_spin_count(n_spins)
     source, target = _charge_labels(source, target)
@@ -184,13 +226,7 @@ def evolution_element(params: JunctionParams, n_spins: int, source, target,
 
     total = 0j
     for batch in chain_batches(params, n_spins, source, target, gaps):
-        for c, n in enumerate(batch.length):
-            if n > 1:
-                evals, vecs = eigh_tridiagonal(batch.diag[c, :n], batch.hop[c, :n - 1])
-            else:
-                evals, vecs = batch.diag[c, :1], np.ones((1, 1))
-            prop = (vecs[batch.end[c]] * np.exp(-1j * t * evals)) @ vecs[batch.start[c]]
-            total += complex(batch.weight[c] * prop)
+        total += complex(np.dot(batch.weight, _chain_elements(batch, t)))
     return TransitionElement(source, target, t, total)
 
 
@@ -204,13 +240,19 @@ def circle_element(params: JunctionParams, source, target, t: float,
     coordinate lives on an integer or half-integer charge grid selected by
     the parity of the conserved total charge, with Josephson coupling
     ``2 lambda c_L c_R``.  The truncation ``_CIRCLE_N_MAX`` is doubled once
-    and must agree to 1e-12."""
+    and must agree to 1e-12; a relative charge ``(n_L - n_R) / 2`` outside
+    ``|n| <= _CIRCLE_N_MAX`` is a ``ParameterError``."""
     if sum(source) != sum(target):
         return 0j
-    gl, gr = _resolve_gaps(params, gaps)
-    offset = 0.0 if sum(source) % 2 == 0 else 0.5
     n_in = (source[0] - source[1]) / 2.0
     n_out = (target[0] - target[1]) / 2.0
+    if max(abs(n_in), abs(n_out)) > _CIRCLE_N_MAX:
+        raise ParameterError(
+            f"element {list(source)} -> {list(target)}: the circle comparator "
+            f"needs relative charges (nL - nR)/2 with |n| <= {_CIRCLE_N_MAX}, "
+            f"got {n_in:g} -> {n_out:g}")
+    gl, gr = _resolve_gaps(params, gaps)
+    offset = 0.0 if sum(source) % 2 == 0 else 0.5
     circuit = CircuitParams(
         e_c=params.e_c, e_j=josephson_energy(params.lam, gl.delta, gr.delta),
         n_g=params.n_g, charge_offset=offset,

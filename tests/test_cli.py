@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qfluct import cli
+from qfluct import cli, correlators, junction
 
 
 def run(tmp_path, command, config, extra=()):
@@ -194,11 +195,13 @@ CONVERGE = {"epsilon": 0.0, "t_c": 1.0, "beta": 2.0}
     ("junction", {**JUNCTION, "dyson_n": 2**62}),
     ("junction", {**JUNCTION, "dyson_n": 3}),
     ("junction", {**JUNCTION, "dyson_order": -1}),
+    ("junction", {**JUNCTION, "elements": [[0, 0, 25, -25]]}),
 ], ids=["junction-time-nan", "circle-ej-nan", "circle-ec-huge-int", "junction-empty-n-list",
         "converge-empty-n-list", "circle-zero-levels", "junction-fractional-n",
         "junction-fractional-element", "converge-huge-n", "converge-huge-w-power",
         "circle-huge-n-max", "junction-huge-dyson-order", "converge-n-past-cap",
-        "junction-dyson-n-past-cap", "junction-odd-dyson-n", "junction-negative-dyson-order"])
+        "junction-dyson-n-past-cap", "junction-odd-dyson-n", "junction-negative-dyson-order",
+        "junction-element-past-circle-window"])
 def test_malformed_config_is_config_error(tmp_path, capsys, command, config):
     code, out = run(tmp_path, command, config)
     assert code == 2
@@ -302,6 +305,33 @@ def test_selftest_catches_corrupted_multiplicity(monkeypatch, capsys):
     monkeypatch.setattr(sectors, "multiplicity", corrupted)
     assert cli.main(["selftest"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("module,name,poison", [
+    (junction, "evolution_element", lambda el: dataclasses.replace(el, value=complex("nan"))),
+    (correlators, "correlation_finite_n", lambda value: complex("nan")),
+], ids=["junction", "correlators"])
+def test_selftest_fails_on_nan_after_first_check(monkeypatch, capsys, module, name, poison):
+    # Python's max drops a NaN that does not come first; the check must not
+    true_function = getattr(module, name)
+    calls = []
+
+    def nan_on_second_call(*args, **kwargs):
+        calls.append(None)
+        value = true_function(*args, **kwargs)
+        return poison(value) if len(calls) == 2 else value
+
+    monkeypatch.setattr(module, name, nan_on_second_call)
+    assert cli.main(["selftest"]) == 1
+    assert any(line.startswith("FAIL") and "nan" in line
+               for line in capsys.readouterr().out.splitlines())
+
+
+def test_junction_element_past_circle_window_names_it(tmp_path, capsys):
+    code, out = run(tmp_path, "junction", {**JUNCTION, "elements": [[0, 0, 25, -25]]})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "[0, 0] -> [25, -25]" in err and "|n| <= 24" in err
 
 
 def test_converge_reports_discarded_bound(tmp_path):

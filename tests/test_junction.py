@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qfluct import correlators, dense, junction, sectors
 from qfluct.errors import NormalPhaseError, ParameterError
@@ -78,6 +81,86 @@ def test_elements_match_dense_oracle(source, target):
     fast = junction.evolution_element(PARAMS, 2, source, target, 0.7, gaps=GAPS).value
     slow = oracle.element(source, target, 0.7)
     assert fast == pytest.approx(slow, abs=1e-10)
+
+
+def unpacked_element(n_spins, source, target, t):
+    """The element one chain at a time: one eigensolve per unpadded chain,
+    and the weighted terms summed exactly by ``math.fsum``."""
+    terms = []
+    for batch in junction.chain_batches(PARAMS, n_spins, source, target, gaps=GAPS):
+        for c, n in enumerate(batch.length):
+            if n > 1:
+                evals, vecs = scipy.linalg.eigh_tridiagonal(batch.diag[c, :n],
+                                                            batch.hop[c, :n - 1])
+            else:
+                evals, vecs = batch.diag[c, :1], np.ones((1, 1))
+            terms.append(batch.weight[c] * complex(
+                (vecs[batch.end[c]] * np.exp(-1j * t * evals)) @ vecs[batch.start[c]]))
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+
+
+@pytest.mark.parametrize("n_spins", [8, 12, 20])
+@pytest.mark.parametrize("source,target", [((0, 0), (1, -1)), ((1, 0), (0, 1))])
+def test_element_matches_unpacked_reference(n_spins, source, target):
+    want = unpacked_element(n_spins, source, target, 0.7)
+    got = junction.evolution_element(PARAMS, n_spins, source, target, 0.7,
+                                     gaps=GAPS).value
+    assert abs(got - want) <= 2e-15 * abs(want)
+
+
+def counting_solver(monkeypatch):
+    """Wrap the junction's tridiagonal solver; return the list of
+    ``(sites, nonzero hops)`` of its calls."""
+    calls = []
+    solve = junction.eigh_tridiagonal
+
+    def counted(d, e, *args, **kwargs):
+        calls.append((len(d), np.count_nonzero(e)))
+        return solve(d, e, *args, **kwargs)
+
+    monkeypatch.setattr(junction, "eigh_tridiagonal", counted)
+    return calls
+
+
+@pytest.mark.parametrize("source,target", [((0, 0), (1, -1)), ((0, 0), (0, 0))])
+def test_solver_counts_every_chain_site(monkeypatch, source, target):
+    lengths = np.concatenate([batch.length for batch in junction.chain_batches(
+        PARAMS, 8, source, target, gaps=GAPS)])
+    calls = counting_solver(monkeypatch)
+    junction.evolution_element(PARAMS, 8, source, target, 0.7, gaps=GAPS)
+    assert calls
+    solved = sum(sites for sites, _ in calls)
+    # only a one-site chain alone in its pack skips the solver
+    assert lengths.sum() - np.count_nonzero(lengths == 1) <= solved <= lengths.sum()
+    if not np.any(lengths == 1):
+        assert solved == lengths.sum()
+    for sites, hops in calls:
+        # a pack larger than the bound is one chain: every hop inside is live
+        assert sites <= junction._PACK_SITES or hops == sites - 1
+
+
+def test_packs_match_chain_by_chain_exponential(monkeypatch):
+    # a long chain is a pack of its own, short ones share packs, and a
+    # one-site chain may be left alone
+    rng = np.random.default_rng(3)
+    length = np.array([3, 200, 1, 5, 130, 1])
+    width = length.max()
+    live = np.arange(width) < length[:, None]
+    diag = np.where(live, rng.normal(size=(length.size, width)), 0.0)
+    hop = np.where(live[:, 1:], rng.normal(size=(length.size, width - 1)), 0.0)
+    start = np.array([rng.integers(n) for n in length])
+    end = np.array([rng.integers(n) for n in length])
+    # the sector and charge labels are not read by the solve
+    batch = junction.ChainBatch(s_l=None, s_r=None, weight=None, a=None, b=None,
+                                diag=diag, hop=hop, length=length, start=start, end=end)
+    calls = counting_solver(monkeypatch)
+    got = junction._chain_elements(batch, 0.9)
+    assert [sites for sites, _ in calls] == [3, 200, 6, 130]
+    for c, n in enumerate(length):
+        h = (np.diag(diag[c, :n]) + np.diag(hop[c, :n - 1], 1)
+             + np.diag(hop[c, :n - 1], -1))
+        want = scipy.linalg.expm(-0.9j * h)[end[c], start[c]]
+        assert got[c] == pytest.approx(want, abs=1e-12)
 
 
 def test_element_at_time_zero():
