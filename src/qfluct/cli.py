@@ -7,6 +7,10 @@ used) so runs are reproducible and diffable.  Identical configs produce
 byte-identical files: float fields are written with repr (shortest
 round-trip) and all orderings are fixed.
 
+The four config commands share one run path, ``_run``: it reads and parses
+the config, the command computes and returns its results, and then it
+writes every file, so a run that fails leaves no output behind.
+
 Exit codes: 0 ok, 1 selftest failure, 2 config error, 3 solver
 non-convergence (includes asking for fluctuations in the normal phase),
 4 truncation non-convergence, 5 internal numerical error (also any
@@ -141,14 +145,13 @@ _CONFIG_KEYS = {
 
 # ------------------------------------------------------------------- output
 
-def _provenance(command: str, cfg: dict, extra: dict | None = None) -> dict:
+def _provenance(command: str, cfg: dict, extra: dict) -> dict:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     return {"command": command, "config_sha256": hashlib.sha256(blob).hexdigest(),
-            "package": f"qfluct {__version__}", **(extra or {})}
+            "package": f"qfluct {__version__}", **extra}
 
 
 def _write_csv(path: Path, prov: dict, header, rows):
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key in sorted(prov):
             fh.write(f"# {key}={prov[key]}\n")
@@ -159,7 +162,6 @@ def _write_csv(path: Path, prov: dict, header, rows):
 
 
 def _write_json(path: Path, prov: dict, payload: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = dict(payload)
     payload["_provenance"] = prov
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -175,41 +177,44 @@ def _gap_provenance(tag: str, sol: gap.GapSolution) -> dict:
     }
 
 
-# ----------------------------------------------------------------- commands
-
-def cmd_gap(args) -> int:
+def _run(args) -> int:
+    """Read the config, run the command on its parsed keys, then write every
+    file the command returned and print its summary.  A command returns
+    ``(provenance extras, {file name: (header, rows) for a CSV or payload
+    for a JSON file}, summary)``; the summary points at the first file."""
     cfg = _load_config(args.config)
-    c = _read(cfg, _CONFIG_KEYS["gap"])
-    betas = c["betas"]
-    if len(set(betas)) != len(betas):
-        print("warning: duplicate beta values deduplicated", file=sys.stderr)
-        betas = list(dict.fromkeys(betas))
-
-    rows = gap.critical_current_curve(c["lambda"], c["epsilon"], c["t_c"], betas)
-    coldest = gap.solve_gap(c["epsilon"], c["t_c"], max(betas))
-
+    extras, files, summary = args.func(_read(cfg, _CONFIG_KEYS[args.command]))
     out = Path(args.out)
-    prov = _provenance("gap", cfg, _gap_provenance("coldest", coldest))
-    _write_csv(out / "gap_curve.csv", prov,
-               ["T", "beta", "delta", "bold_delta", "E_J"], rows)
-    _write_json(out / "gap_solution.json", prov, dataclasses.asdict(coldest))
-    print(f"gap: {len(rows)} temperatures, coldest delta={coldest.delta:.6g} "
-          f"-> {out / 'gap_curve.csv'}")
+    prov = _provenance(args.command, cfg, extras)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        if name.endswith(".csv"):
+            _write_csv(out / name, prov, *content)
+        else:
+            _write_json(out / name, prov, content)
+    print(f"{summary} -> {out / next(iter(files))}")
     return 0
 
 
-def cmd_converge(args) -> int:
-    cfg = _load_config(args.config)
-    c = _read(cfg, _CONFIG_KEYS["converge"])
+# ----------------------------------------------------------------- commands
+
+def cmd_gap(c: dict):
+    betas = c["betas"]
+    if len(set(betas)) != len(betas):
+        print("warning: duplicate beta values deduplicated", file=sys.stderr)
+    rows = gap.critical_current_curve(c["lambda"], c["epsilon"], c["t_c"], betas)
+    coldest = gap.solve_gap(c["epsilon"], c["t_c"], max(betas))
+    files = {"gap_curve.csv": (["T", "beta", "delta", "bold_delta", "E_J"], rows),
+             "gap_solution.json": dataclasses.asdict(coldest)}
+    return (_gap_provenance("coldest", coldest), files,
+            f"gap: {len(rows)} temperatures, coldest delta={coldest.delta:.6g}")
+
+
+def cmd_converge(c: dict):
     params = sectors.ModelParams(epsilon=c["epsilon"], t_c=c["t_c"], beta=c["beta"],
                                  mu=c["mu"])
     n_list = c["n_list"]
-
     sol = gap.solve_gap(params.epsilon, params.t_c, params.beta)
-    if sol.delta <= 0:
-        raise NormalPhaseError(
-            "requested temperature is in the normal phase; no fluctuation sweep")
-
     sweep = correlators.convergence_sweep(params, c["word"], sol, n_list)
     w_rows = []
     # largest sizes first: their tables are the ones the sweep left cached
@@ -218,12 +223,6 @@ def cmd_converge(args) -> int:
         w_rows.append((n, w_val.real, w_val.imag, abs(w_val - 1.0)))
     w_rows.reverse()
 
-    out = Path(args.out)
-    prov = _provenance("converge", cfg, _gap_provenance("layer", sol))
-    _write_csv(out / "converge_correlator.csv", prov, ["N", "re", "im", "abs_err"],
-               [(n, v.real, v.imag, e)
-                for n, v, e in zip(sweep.n_values, sweep.values, sweep.abs_errors)])
-    _write_csv(out / "w_expectation.csv", prov, ["N", "re", "im", "abs_err"], w_rows)
     w_errs = [row[3] for row in w_rows]
     fit_payload = {
         "prediction": [sweep.prediction.real, sweep.prediction.imag],
@@ -236,17 +235,21 @@ def cmd_converge(args) -> int:
             "decreasing": all(b <= a for a, b in zip(w_errs, w_errs[1:])),
         },
     }
-    _write_json(out / "converge_fit.json", prov, fit_payload)
-    _write_json(out / "word_echo.json", prov, {"word": c["word"].to_triples()})
+    files = {
+        "converge_correlator.csv": (
+            ["N", "re", "im", "abs_err"],
+            [(n, v.real, v.imag, e)
+             for n, v, e in zip(sweep.n_values, sweep.values, sweep.abs_errors)]),
+        "w_expectation.csv": (["N", "re", "im", "abs_err"], w_rows),
+        "converge_fit.json": fit_payload,
+        "word_echo.json": {"word": c["word"].to_triples()},
+    }
     exp_text = "n/a" if sweep.fit is None else f"{sweep.fit.exponent:.3f}"
-    print(f"converge: {len(n_list)} sizes, fitted exponent {exp_text} "
-          f"-> {out / 'converge_correlator.csv'}")
-    return 0
+    return (_gap_provenance("layer", sol), files,
+            f"converge: {len(n_list)} sizes, fitted exponent {exp_text}")
 
 
-def cmd_circle(args) -> int:
-    cfg = _load_config(args.config)
-    c = _read(cfg, _CONFIG_KEYS["circle"])
+def cmd_circle(c: dict):
     params = circle.CircuitParams(e_c=c["e_c"], e_j=c["e_j"], n_g=c["n_g"],
                                   charge_offset=c["charge_offset"])
     trunc = circle.ChargeBasisTruncation(c["n_max"], params.charge_offset)
@@ -274,21 +277,15 @@ def cmd_circle(args) -> int:
         state = circle.phase_peaked_state(trunc, phi, width)
         current_rows.append((phi, circle.josephson_current(params, trunc, state)))
 
-    out = Path(args.out)
-    prov = _provenance("circle", cfg)
-    _write_csv(out / "spectrum.csv", prov, ["index", "energy"],
-               [(i, float(e)) for i, e in enumerate(energies)])
-    _write_csv(out / "dispersion.csv", prov,
-               ["n_g"] + [f"E{i}" for i in range(levels)], disp_rows)
-    _write_csv(out / "current.csv", prov, ["phi_bar", "current"], current_rows)
-    print(f"circle: {levels} levels (ground {energies[0]:.6g}) "
-          f"-> {out / 'spectrum.csv'}")
-    return 0
+    files = {
+        "spectrum.csv": (["index", "energy"], [(i, float(e)) for i, e in enumerate(energies)]),
+        "dispersion.csv": (["n_g"] + [f"E{i}" for i in range(levels)], disp_rows),
+        "current.csv": (["phi_bar", "current"], current_rows),
+    }
+    return {}, files, f"circle: {levels} levels (ground {energies[0]:.6g})"
 
 
-def cmd_junction(args) -> int:
-    cfg = _load_config(args.config)
-    c = _read(cfg, _CONFIG_KEYS["junction"])
+def cmd_junction(c: dict):
     params = junction.JunctionParams(
         left=sectors.ModelParams(**c["left"], beta=c["beta"]),
         right=sectors.ModelParams(**c["right"], beta=c["beta"]),
@@ -297,28 +294,9 @@ def cmd_junction(args) -> int:
     t, n_list, elements, order = c["time"], c["n_list"], c["elements"], c["dyson_order"]
 
     gaps = junction.layer_gaps(params)
-    # every result is computed before the first file is written
     deviations, bound = junction.dyson_junction_defect(
         params, c["dyson_n"], t, order, elements, gaps=gaps)
     rows_by_n = junction.meso_compare(params, n_list, elements, t, gaps=gaps)
-
-    out = Path(args.out)
-    prov = _provenance("junction", cfg,
-                       {**_gap_provenance("left", gaps[0]),
-                        **_gap_provenance("right", gaps[1])})
-    for i, n in enumerate(n_list):
-        table = []
-        for row in rows_by_n:
-            value = row.finite_values[i]
-            table.append((*row.source, *row.target, t, value.real, value.imag,
-                          row.abs_errors[i]))
-        _write_csv(out / f"elements_N{n}.csv", prov,
-                   ["nL", "nR", "nLp", "nRp", "t", "re", "im", "abs_err_vs_meso"],
-                   table)
-
-    _write_csv(out / "dyson_report.csv", prov,
-               ["N", "K", "t", "bound", "measured_max_abs_dev"],
-               [(c["dyson_n"], order, t, bound, max(deviations.values()))])
 
     manifest = {
         "params": {key: c[key] for key in
@@ -335,10 +313,17 @@ def cmd_junction(args) -> int:
             for r in rows_by_n
         ],
     }
-    _write_json(out / "run_manifest.json", prov, manifest)
-    print(f"junction: {len(elements)} elements over N={n_list}, "
-          f"dyson K={order} bound {bound:.3e} -> {out / 'run_manifest.json'}")
-    return 0
+    files = {"run_manifest.json": manifest}  # first: the summary names it
+    for i, n in enumerate(n_list):
+        files[f"elements_N{n}.csv"] = (
+            ["nL", "nR", "nLp", "nRp", "t", "re", "im", "abs_err_vs_meso"],
+            [(*row.source, *row.target, t, row.finite_values[i].real,
+              row.finite_values[i].imag, row.abs_errors[i]) for row in rows_by_n])
+    files["dyson_report.csv"] = (["N", "K", "t", "bound", "measured_max_abs_dev"],
+                                 [(c["dyson_n"], order, t, bound, max(deviations.values()))])
+    extras = {**_gap_provenance("left", gaps[0]), **_gap_provenance("right", gaps[1])}
+    return (extras, files, f"junction: {len(elements)} elements over N={n_list}, "
+                           f"dyson K={order} bound {bound:.3e}")
 
 
 # ----------------------------------------------------------------- selftest
@@ -478,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args) if args.command == "selftest" else _run(args)
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import NormalPhaseError, ParameterError
 from .fitting import MIN_POINTS, PowerLawFit, fit_power_law
 from .gap import GapSolution
-from .sectors import ModelParams, check_spin_count, thermal_table
+from .sectors import ModelParams, check_spin_count, eta, thermal_table
 
 __all__ = [
     "WordFactor",
@@ -126,11 +126,14 @@ def _ladder_walk(s: np.ndarray, sz: np.ndarray, word: FluctuationWord):
     log_amp = np.zeros_like(cur)
     alive = np.ones(cur.shape, dtype=bool)
     s2 = s * (s + 1.0)
-    # every walk has left [-s, s] after 2 max(s) + 1 steps in one direction
-    max_run = int(2.0 * np.max(s, initial=0.0)) + 1
+    # a walk survives a run of `count` steps in one direction only if
+    # count <= 2s, so a longer run kills every walk
+    longest_run = 2.0 * np.max(s, initial=0.0)
     for factor in reversed(word.factors):
         for count, step in ((factor.m, 1.0), (factor.n, -1.0)):
-            for _ in range(min(count, max_run)):
+            if count > longest_run:
+                return log_amp, np.zeros_like(alive)
+            for _ in range(count):
                 c2 = s2 - cur * (cur + step)
                 alive &= c2 > 0.0
                 log_amp += 0.5 * np.log(np.where(c2 > 0.0, c2, 1.0))
@@ -248,10 +251,7 @@ def single_layer_evolution_element(params: ModelParams, n_spins: int, n: int,
     word = FluctuationWord.from_triples([(0.0, 0, m)])
     log_amp, alive = _ladder_walk(s, sz, word)
 
-    # eta(s, sz+m) - eta(s, sz), directly from the spectrum formula
-    d_eta = (-2.0 * params.epsilon * m
-             + (2.0 * params.t_c / n_spins)
-             * ((sz + m) * (sz + m - 1.0) - sz * (sz - 1.0)))
+    d_eta = eta(params, n_spins, s, sz + m) - eta(params, n_spins, s, sz)
 
     log_scale = 2.0 * m * math.log(c * n_spins)
     amps = np.where(alive, np.exp(log_w + 2.0 * log_amp - log_scale), 0.0)

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from qfluct import cli, correlators, junction
+from qfluct import circle, cli, correlators, gap, junction
+from qfluct.errors import NumericalError
 
 
 def run(tmp_path, command, config, extra=()):
@@ -251,8 +252,9 @@ def test_long_pair_word_bound_saturates(tmp_path):
 
 
 def test_huge_word_power_finishes(tmp_path):
-    # every walk leaves [-s, s] within 2s + 1 steps, whatever the power
-    proc, out = run_child(tmp_path, "converge", {**CONVERGE, "n_list": [4, 8],
+    # a run of more than 2 max(s) steps kills every walk at once, whatever
+    # the power, so N = 16384 costs one pass over its table
+    proc, out = run_child(tmp_path, "converge", {**CONVERGE, "n_list": [4, 8, 16384],
                                                  "word": [[0.0, 10**12, 10**12]]})
     assert proc.returncode == 0, proc.stderr
     assert (out / "converge_fit.json").exists()
@@ -343,11 +345,39 @@ def test_converge_reports_discarded_bound(tmp_path):
     assert 0.0 < fit["discarded_bound"] < 1e-30
 
 
-def test_unexpected_exception_exits_5(monkeypatch, capsys):
-    def broken(args):
+def test_unexpected_exception_exits_5(tmp_path, monkeypatch, capsys):
+    def broken(c):
         raise ValueError("not a qfluct error\nsecond line")
 
     monkeypatch.setattr(cli, "cmd_gap", broken)
-    assert cli.main(["gap"]) == 5
+    code, out = run(tmp_path, "gap", {"epsilon": 0.0, "t_c": 1.0, "betas": [2.0]})
+    assert code == 5
+    assert not out.exists()
     err = capsys.readouterr().err
     assert err.splitlines() == ["internal error: ValueError: not a qfluct error second line"]
+
+
+@pytest.mark.parametrize("command,config,module,name,calls_before", [
+    ("gap", {"epsilon": 0.0, "t_c": 1.0, "betas": [2.0, 4.0]}, gap, "solve_gap", 2),
+    ("converge", {**CONVERGE, "n_list": [16, 32]}, correlators, "w_expectation", 0),
+    ("circle", {**CIRCLE, "dispersion_points": 3, "phase_points": 3}, circle,
+     "josephson_current", 0),
+    ("junction", JUNCTION, junction, "meso_compare", 0),
+], ids=["gap", "converge", "circle", "junction"])
+def test_late_failure_leaves_no_output(tmp_path, monkeypatch, capsys, command, config,
+                                       module, name, calls_before):
+    # the command's last library call fails after every other result exists
+    true_function = getattr(module, name)
+    calls = []
+
+    def fails_late(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > calls_before:
+            raise NumericalError("planted late failure")
+        return true_function(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, fails_late)
+    code, out = run(tmp_path, command, config)
+    assert code == 5
+    assert capsys.readouterr().err == "numerical error: planted late failure\n"
+    assert not out.exists()

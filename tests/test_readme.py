@@ -1,6 +1,7 @@
-"""README.md as a test: its example configs run verbatim and write the files
-it lists, its usage lines name only flags the CLI accepts, and its config
-key list is the CLI's key table."""
+"""README.md as a test: its example configs run verbatim, write the files
+it lists and write them byte-identically when run again, its usage lines
+name only flags the CLI accepts, and its config key list is the CLI's key
+table."""
 
 import json
 import re
@@ -37,11 +38,14 @@ def test_readme_example_config_runs(tmp_path, command):
     config, outputs = EXAMPLES[command]
     cfg_path = tmp_path / f"{command}.json"
     cfg_path.write_text(json.dumps(config))
-    out = tmp_path / "results"
-    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    runs = [tmp_path / "first", tmp_path / "second"]
+    for out in runs:
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
     want = {name.format(n=n) for name in outputs
             for n in (config["n_list"] if "{n}" in name else [None])}
-    assert want and {p.name for p in out.iterdir()} == want
+    assert want and {p.name for p in runs[0].iterdir()} == want
+    for name in want:  # identical configs give byte-identical files
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 def test_readme_usage_lines_parse():
