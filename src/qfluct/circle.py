@@ -21,14 +21,13 @@ unitary shift ``phi -> phi + pi``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
 
 from .errors import ParameterError, TruncationError, require_finite
-from .quadrature import chain_dyson
+from .quadrature import _dyson_bound, chain_dyson
 
 __all__ = [
     "CircuitParams",
@@ -191,8 +190,7 @@ def dyson_circle(params: CircuitParams, trunc: ChargeBasisTruncation, t: float,
     if order < 0:
         raise ParameterError("order must be >= 0")
     diag, hop = _chain(params, trunc)
-    sites = np.arange(trunc.dim)[None, :]
-    return chain_dyson(diag[None, :], hop[None, :], sites, sites, t, order)[0].T
+    return chain_dyson(diag, hop, np.arange(trunc.dim), np.eye(trunc.dim), t, order).T
 
 
 def dyson_defect(params: CircuitParams, trunc: ChargeBasisTruncation, t: float,
@@ -203,8 +201,7 @@ def dyson_defect(params: CircuitParams, trunc: ChargeBasisTruncation, t: float,
     u_free = np.diag(np.exp(-1j * t * _chain(params, trunc)[0]))
     d_k = dyson_circle(params, trunc, t, order)
     defect = float(np.linalg.norm(u_exact - d_k @ u_free, 2))
-    bound = (abs(params.e_j) * abs(t)) ** (order + 1) / math.factorial(order + 1)
-    return defect, bound
+    return defect, _dyson_bound(order, abs(params.e_j) * abs(t))
 
 
 def josephson_current(params: CircuitParams, trunc: ChargeBasisTruncation,

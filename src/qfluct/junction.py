@@ -32,7 +32,7 @@ from scipy.linalg import eigh_tridiagonal
 from .circle import ChargeBasisTruncation, CircuitParams, propagator
 from .errors import NormalPhaseError, ParameterError, TruncationError, require_finite
 from .gap import josephson_energy, solve_gap
-from .quadrature import chain_dyson
+from .quadrature import _dyson_bound, chain_dyson
 from .sectors import ModelParams, check_spin_count, eta, ladder_coefficient, thermal_table
 
 __all__ = [
@@ -106,14 +106,14 @@ class TransitionElement:
 @dataclass(frozen=True)
 class ChainBatch:
     """The fixed-charge chains of one left sector ``s_l`` against every
-    contributing right sector ``s_r``, padded to a common length.
+    contributing right sector ``s_r``, laid end to end.
 
-    Chain ``c`` holds the system labels ``(a[c, j], b[c, j])`` for
-    ``j < length[c]``, ``a`` ascending and ``a + b`` fixed; ``hop[c, j]``
-    joins positions ``j`` and ``j + 1`` and is zero past the chain's end.
-    ``start`` and ``end`` are the positions of the source and target
-    labels, and ``weight`` is the thermal weight of the sector pair times
-    the ladder amplitudes and normalizations of the two charge states."""
+    Site ``i`` holds the system labels ``(a[i], b[i])``; chain ``c`` starts at
+    site ``first[c]``, ``a`` ascending and ``a + b`` fixed.  ``hop[i]`` joins
+    sites ``i`` and ``i + 1``, exactly zero out of a chain's last site (there
+    ``a = s_l`` or ``b = -s_r``).  ``start`` and ``end`` are the sites of the
+    source and target labels, and ``weight`` is the thermal weight of the
+    sector pair times the ladder amplitudes and normalizations."""
 
     s_l: float
     s_r: np.ndarray
@@ -122,16 +122,16 @@ class ChainBatch:
     b: np.ndarray
     diag: np.ndarray
     hop: np.ndarray
-    length: np.ndarray
+    first: np.ndarray
     start: np.ndarray
     end: np.ndarray
 
 
 def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=None):
-    """Yield one ``ChainBatch`` per left sector that both charge states
-    reach.  Diagonal: layer spectra relative to the commutant labels plus
-    the charging term; hops: the tunneling ladder products scaled by
-    lambda / N^2."""
+    """Yield one ``ChainBatch`` per left sector that both charge states reach,
+    chains end to end.  Diagonal: layer spectra relative to the commutant
+    labels plus the charging term; hops: the tunneling ladder products scaled
+    by lambda / N^2."""
     gl, gr = _resolve_gaps(params, gaps)
     pl, pr = params.layer_params()
     (n_l, n_r), (n_lp, n_rp) = source, target
@@ -144,7 +144,6 @@ def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=Non
     if not keep.any():
         return
     s_r, sz_r0, logw_r, amp_r = s_r[keep], sz_r0[keep], logw_r[keep], amp_r[keep]
-    col_s_r, col_sz_r0 = s_r[:, None], sz_r0[:, None]
     for s_l, sz_l0, logw_l in zip(*thermal_table(pl, n_spins).flat()):
         amp_l = (ladder_coefficient(s_l, sz_l0, n_l)
                  * ladder_coefficient(s_l, sz_l0, n_lp))
@@ -153,18 +152,21 @@ def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=Non
         charge = sz_l0 + n_l + sz_r0 + n_r
         a_lo = np.maximum(-s_l, charge - s_r)
         length = np.rint(np.minimum(s_l, charge + s_r) - a_lo).astype(int) + 1
-        a = a_lo[:, None] + np.arange(length.max())
-        b = charge[:, None] - a
+        first = np.cumsum(length) - length
+        chain = np.repeat(np.arange(length.size), length)  # the chain of each site
+        a = a_lo[chain] + (np.arange(chain.size) - first[chain])
+        b = charge[chain] - a
+        site_s_r, site_sz_r0 = s_r[chain], sz_r0[chain]
         diag = ((eta(pl, n_spins, s_l, a) - eta(pl, n_spins, s_l, sz_l0))
-                + (eta(pr, n_spins, col_s_r, b) - eta(pr, n_spins, col_s_r, col_sz_r0))
-                + params.e_c * (0.5 * ((a - sz_l0) - (b - col_sz_r0)) - params.n_g) ** 2)
-        hop = (params.lam / n_spins**2 * ladder_coefficient(s_l, a[:, :-1], 1)
-               * ladder_coefficient(col_s_r, b[:, :-1], -1))
+                + (eta(pr, n_spins, site_s_r, b) - eta(pr, n_spins, site_s_r, site_sz_r0))
+                + params.e_c * (0.5 * ((a - sz_l0) - (b - site_sz_r0)) - params.n_g) ** 2)
+        hop = (params.lam / n_spins**2 * ladder_coefficient(s_l, a[:-1], 1)
+               * ladder_coefficient(site_s_r[:-1], b[:-1], -1))
         yield ChainBatch(
             s_l=s_l, s_r=s_r, weight=np.exp(logw_l + logw_r - log_norm) * amp_l * amp_r,
-            a=a, b=b, diag=diag, hop=hop, length=length,
-            start=np.rint(sz_l0 + n_l - a_lo).astype(int),
-            end=np.rint(sz_l0 + n_lp - a_lo).astype(int),
+            a=a, b=b, diag=diag, hop=hop, first=first,
+            start=first + np.rint(sz_l0 + n_l - a_lo).astype(int),
+            end=first + np.rint(sz_l0 + n_lp - a_lo).astype(int),
         )
 
 
@@ -179,29 +181,23 @@ _PACK_SITES = 128
 def _chain_elements(batch: ChainBatch, t: float) -> np.ndarray:
     """``<end| exp(-i t H_c) |start>`` of every chain ``c`` of a batch.
 
-    The chains are laid end to end; each chain's last hop is exactly zero,
-    so the tridiagonal solver splits the sequence back into its chains and
-    every eigenvector lives on one chain.  The sequence is cut at chain
-    boundaries into packs of at most ``_PACK_SITES`` sites, one solve each,
-    so a pack's eigenvectors take at most 128^2 doubles (a chain longer than
-    that, possible from N = 128 on, is a pack of its own)."""
-    live = np.arange(batch.diag.shape[1]) < batch.length[:, None]
-    hop = np.zeros_like(batch.diag)
-    hop[:, :-1] = batch.hop
-    diag, hop = batch.diag[live], hop[live]
-    stops = np.cumsum(batch.length)  # chain c holds the sites firsts[c] .. stops[c] - 1
-    firsts = stops - batch.length
-    source, target = firsts + batch.start, firsts + batch.end
-    values = np.empty(batch.length.size, dtype=complex)
+    Each chain's last hop is exactly zero, so the tridiagonal solver splits
+    the batch's sites back into its chains and every eigenvector lives on one
+    chain.  The sites are cut at chain boundaries into packs of at most
+    ``_PACK_SITES`` sites, one solve each, so a pack's eigenvectors take at
+    most 128^2 doubles (a chain longer than that, possible from N = 128 on,
+    is a pack of its own)."""
+    stops = np.append(batch.first[1:], batch.diag.size)  # chain c ends before stops[c]
+    values = np.empty(stops.size, dtype=complex)
     lo = 0
-    while lo < batch.length.size:
-        hi = max(lo + 1, int(np.searchsorted(stops, firsts[lo] + _PACK_SITES, "right")))
-        first, stop = firsts[lo], stops[hi - 1]
+    while lo < stops.size:
+        hi = max(lo + 1, int(np.searchsorted(stops, batch.first[lo] + _PACK_SITES, "right")))
+        first, stop = batch.first[lo], stops[hi - 1]
         if stop - first > 1:
-            evals, vecs = eigh_tridiagonal(diag[first:stop], hop[first:stop - 1])
+            evals, vecs = eigh_tridiagonal(batch.diag[first:stop], batch.hop[first:stop - 1])
         else:
-            evals, vecs = diag[first:stop], np.ones((1, 1))
-        values[lo:hi] = ((vecs[target[lo:hi] - first] * vecs[source[lo:hi] - first])
+            evals, vecs = batch.diag[first:stop], np.ones((1, 1))
+        values[lo:hi] = ((vecs[batch.end[lo:hi] - first] * vecs[batch.start[lo:hi] - first])
                          @ np.exp(-1j * t * evals))
         lo = hi
     return values
@@ -314,8 +310,9 @@ def dyson_junction(params: JunctionParams, n_spins: int, t: float, order: int,
     ``D_K(t) U_0(t)``, tunneling as the perturbation.
 
     Each chain carries its Dyson terms from the source to the target
-    position: the shared chain recursion runs once per left-sector batch,
-    and ``U_0`` contributes the free and charging phase of the source.
+    site: the shared chain recursion runs once per left-sector batch, all
+    target sites seeded in one column (the chains are disjoint), and ``U_0``
+    contributes the free and charging phase of the source.
     """
     check_spin_count(n_spins)
     if order < 0:
@@ -328,9 +325,10 @@ def dyson_junction(params: JunctionParams, n_spins: int, t: float, order: int,
         total = 0j
         if sum(source) == sum(target):
             for batch in chain_batches(params, n_spins, source, target, gaps):
-                u0 = np.exp(-1j * t * batch.diag[np.arange(batch.start.size), batch.start])
-                terms = chain_dyson(batch.diag, batch.hop, batch.start, batch.end, t, order)
-                total += complex(np.sum(batch.weight * u0 * terms))
+                u0 = np.exp(-1j * t * batch.diag[batch.start])
+                seed = np.isin(np.arange(batch.diag.size), batch.end)[:, None]
+                terms = chain_dyson(batch.diag, batch.hop, batch.start, seed, t, order)
+                total += complex(np.sum(batch.weight * u0 * terms[:, 0]))
         results[(source, target)] = total
     return results
 
@@ -346,6 +344,4 @@ def dyson_junction_defect(params: JunctionParams, n_spins: int, t: float,
         key = (tuple(source), tuple(target))
         exact = evolution_element(params, n_spins, source, target, t, gaps=gaps).value
         deviations[key] = abs(exact - approx[key])
-    bound = ((2.0 * abs(params.lam)) ** (order + 1) * abs(t) ** (order + 1)
-             / math.factorial(order + 1))
-    return deviations, bound
+    return deviations, _dyson_bound(order, 2.0 * abs(params.lam), abs(t))

@@ -19,12 +19,13 @@ until the result is stable.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre
 
-from .errors import NumericalError
+from .errors import NumericalError, ParameterError
 
 __all__ = ["chain_dyson", "ordered_phase_integral"]
 
@@ -42,45 +43,30 @@ def _operators(q: int):
     norms = (2.0 * np.arange(q) + 1.0) / 2.0
     coef_from_values = norms[:, None] * (vander * weights[:, None]).T
 
-    int_map = np.zeros((q + 1, q))
-    for l in range(q):
-        e = np.zeros(q)
-        e[l] = 1.0
-        int_map[:, l] = legendre.legint(e, lbnd=-1.0)
-
+    int_map = legendre.legint(np.eye(q), lbnd=-1.0)    # column l: primitive of P_l
     at_nodes = legendre.legvander(nodes, q) @ int_map @ coef_from_values
     at_end = legendre.legvander(np.array([1.0]), q) @ int_map @ coef_from_values
     return nodes, at_nodes, at_end[0]
 
 
-def chain_dyson(diag, hop, start, ends, t: float, order: int) -> np.ndarray:
-    """``sum_{m <= order} (-i)^m`` times the order-m Dyson term from
-    ``start`` to ``ends``, for a batch of tridiagonal chains.
+def chain_dyson(diag, hop, start, seed, t: float, order: int) -> np.ndarray:
+    """``sum_{m <= order} (-i)^m`` times the order-m Dyson term from the
+    ``start`` sites to the end amplitudes ``seed``, shape ``(sites, E)``.
 
-    ``diag`` has shape ``(chains, sites)`` and ``hop`` ``(chains, sites-1)``;
-    shorter chains are padded with zero hops.  ``start`` and ``ends`` hold
-    positions of shape ``(chains,)`` or ``(chains, S)`` / ``(chains, E)``;
-    the result has shape ``start.shape + ends.shape[1:]``.  The hop out of
-    ``start`` is the outermost integral.
+    ``diag`` (shape ``(sites,)``) and ``hop`` (``(sites-1,)``) lay tridiagonal
+    chains end to end, a zero hop out of each chain's last site, so no path
+    leaves its chain.  The result has shape ``(len(start), E)``.  The hop out
+    of ``start`` is the outermost integral.
 
     Raises ``NumericalError`` if node doubling never stabilizes to ``_TOL``.
     """
-    diag = np.asarray(diag, dtype=float)
-    hop = np.asarray(hop, dtype=float)
-    start, ends = np.asarray(start, dtype=int), np.asarray(ends, dtype=int)
-    out_shape = start.shape + ends.shape[1:]
-    start = start[:, None] if start.ndim == 1 else start
-    ends = ends[:, None] if ends.ndim == 1 else ends
-    chains, sites = diag.shape
-    rows = np.arange(chains)[:, None]
-    seed = np.zeros((chains, sites, ends.shape[1]), dtype=complex)
-    seed[rows, ends, np.arange(ends.shape[1])] = 1.0
-    pick = (rows, start)
+    diag, hop = np.asarray(diag, dtype=float), np.asarray(hop, dtype=float)
+    start, seed = np.asarray(start, dtype=int), np.asarray(seed, dtype=complex)
 
-    if order == 0 or t == 0.0 or chains == 0:
-        return seed[pick].reshape(out_shape)
+    if order == 0 or t == 0.0 or start.size == 0:
+        return seed[start]
 
-    theta = np.diff(diag, axis=1)
+    theta = np.diff(diag)
     live = np.abs(theta[hop != 0.0])
     # start high enough to resolve the fastest phase
     q = max(_Q_START, int(1.2 * live.max(initial=0.0) * abs(t) / 2.0) + 8)
@@ -88,20 +74,20 @@ def chain_dyson(diag, hop, start, ends, t: float, order: int) -> np.ndarray:
     def evaluate(q):
         nodes, at_nodes, at_end = _operators(q)
         half = 0.5 * t
-        phase = np.exp(-1j * (half * (nodes + 1.0))[:, None, None] * theta)
+        phase = np.exp(-1j * (half * (nodes + 1.0))[:, None] * theta)
         up = (-1j * hop * phase)[..., None]            # hop p -> p+1, seen from p
         down = (-1j * hop * phase.conj())[..., None]   # hop p+1 -> p
         amp = np.broadcast_to(seed, (q,) + seed.shape)
         total = seed.copy()
         for m in range(1, order + 1):
             integrand = np.zeros(amp.shape, dtype=complex)
-            integrand[:, :, :-1] = up * amp[:, :, 1:]
-            integrand[:, :, 1:] += down * amp[:, :, :-1]
+            integrand[:, :-1] = up * amp[:, 1:]
+            integrand[:, 1:] += down * amp[:, :-1]
             flat = integrand.reshape(q, -1)
             total += half * (at_end @ flat).reshape(seed.shape)
             if m < order:
                 amp = half * (at_nodes @ flat).reshape(amp.shape)
-        return total[pick].reshape(out_shape)
+        return total[start]
 
     previous = None
     while q <= _Q_MAX:
@@ -120,16 +106,35 @@ def chain_dyson(diag, hop, start, ends, t: float, order: int) -> np.ndarray:
 def ordered_phase_integral(thetas, t: float) -> np.ndarray:
     """Ordered-simplex integral of ``prod_j exp(-i theta_j t_j)`` over
     ``t >= t_1 >= t_2 >= ... >= t_k >= 0``, vectorized over the columns of
-    ``thetas`` (shape ``(k, channels)``): the one-path chain with energies
-    ``0, theta_1, theta_1 + theta_2, ...`` and unit hops.
+    ``thetas`` (shape ``(k, channels)``): the one-path chains with energies
+    ``0, theta_1, theta_1 + theta_2, ...`` and unit hops, end to end.
 
-    Raises ``NumericalError`` if node doubling never stabilizes to ``_TOL``.
+    Raises ``ParameterError`` without a nesting level, and
+    ``NumericalError`` if node doubling never stabilizes to ``_TOL``.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     depth, channels = thetas.shape
     if depth == 0:
-        raise ValueError("need at least one nesting level")
+        raise ParameterError("need at least one nesting level")
     diag = np.concatenate([np.zeros((channels, 1)), np.cumsum(thetas.T, axis=1)], axis=1)
-    values = chain_dyson(diag, np.ones((channels, depth)), np.zeros(channels),
-                         np.full(channels, depth), t, depth)
-    return 1j**depth * values
+    level = np.arange(diag.size) % (depth + 1)  # a channel's sites are levels 0 .. depth
+    values = chain_dyson(diag.ravel(), (level[:-1] != depth).astype(float),
+                         np.flatnonzero(level == 0), (level == depth)[:, None], t, depth)
+    return 1j**depth * values[:, 0]
+
+
+def _dyson_bound(order: int, *scales) -> float:
+    """The order-K Dyson remainder bound ``prod_j x_j^{K+1} / (K+1)!``: the
+    float formula where it is representable, else from logarithms, 0.0 on
+    underflow and inf on overflow; it never raises."""
+    k = order + 1
+    try:
+        return math.prod(x ** k for x in scales) / math.factorial(k)
+    except OverflowError:  # a power or (K+1)! is past the float range
+        pass
+    if 0.0 in scales:
+        return 0.0
+    try:
+        return math.exp(k * sum(math.log(x) for x in scales) - math.lgamma(k + 1))
+    except OverflowError:
+        return math.inf

@@ -165,6 +165,15 @@ def test_junction_command(tmp_path):
     assert float(row[4]) <= float(row[3])
 
 
+def test_junction_dyson_order_past_float_factorial(tmp_path):
+    # (K+1)! exceeds the largest float from K = 170 on; the bound underflows
+    code, out = run(tmp_path, "junction", {**JUNCTION, "dyson_order": 170})
+    assert code == 0
+    _, dyson_body = read_csv(out / "dyson_report.csv")
+    row = dyson_body[1].split(",")
+    assert row[1] == "170" and float(row[3]) == 0.0
+
+
 def test_junction_normal_phase_exit(tmp_path):
     code, _ = run(tmp_path, "junction",
                   {"left": {"epsilon": 0.0, "t_c": 1.0},

@@ -42,16 +42,25 @@ def all_chains(params=PARAMS, n_spins=4):
     return list(junction.chain_batches(params, n_spins, (0, 0), (0, 0), gaps=GAPS))
 
 
+def chain_sites(batch):
+    """The sites of each chain of a batch, as slices of its flat arrays."""
+    stops = np.append(batch.first[1:], batch.diag.size)
+    return [slice(first, stop) for first, stop in zip(batch.first, stops)]
+
+
 def test_blocks_hermitian_and_diagonal_without_coupling():
     batches = all_chains()
     assert sum(batch.weight.size for batch in batches) == 9 * 9  # (s, sz) pairs per side
     hop_scale = PARAMS.lam / 4**2
     for batch in batches:
-        # the hop (a, b) -> (a+1, b-1) equals its reverse (a+1, b-1) -> (a, b)
-        reverse = (hop_scale
-                   * sectors.ladder_coefficient(batch.s_l, batch.a[:, 1:], -1)
-                   * sectors.ladder_coefficient(batch.s_r[:, None], batch.b[:, 1:], 1))
-        np.testing.assert_allclose(batch.hop, reverse, rtol=1e-14, atol=0)
+        for c, sites in enumerate(chain_sites(batch)):
+            a, b = batch.a[sites], batch.b[sites]
+            # the hop (a, b) -> (a+1, b-1) equals its reverse (a+1, b-1) -> (a, b)
+            reverse = (hop_scale
+                       * sectors.ladder_coefficient(batch.s_l, a[1:], -1)
+                       * sectors.ladder_coefficient(batch.s_r[c], b[1:], 1))
+            np.testing.assert_allclose(batch.hop[sites.start:sites.stop - 1], reverse,
+                                       rtol=1e-14, atol=0)
 
     decoupled = junction.JunctionParams(
         left=PARAMS.left, right=PARAMS.right, lam=0.0, e_c=PARAMS.e_c,
@@ -63,11 +72,15 @@ def test_blocks_hermitian_and_diagonal_without_coupling():
 def test_blockwise_charge_conservation():
     # every chain keeps a + b fixed while each hop moves one pair across
     for batch in all_chains():
-        for c, n in enumerate(batch.length):
-            a, b = batch.a[c, :n], batch.b[c, :n]
+        assert batch.hop.size == batch.diag.size - 1
+        for c, sites in enumerate(chain_sites(batch)):
+            a, b = batch.a[sites], batch.b[sites]
             assert np.all(a + b == a[0] + b[0])
             np.testing.assert_array_equal(np.diff(a), 1.0)
-            assert not np.any(batch.hop[c, n - 1:])  # no hop out of the chain
+            assert sites.start <= batch.start[c] < sites.stop
+            assert sites.start <= batch.end[c] < sites.stop
+            if sites.stop < batch.diag.size:  # no hop out of the chain
+                assert batch.hop[sites.stop - 1] == 0.0
 
 
 def test_block_weights_sum_to_one():
@@ -84,18 +97,20 @@ def test_elements_match_dense_oracle(source, target):
 
 
 def unpacked_element(n_spins, source, target, t):
-    """The element one chain at a time: one eigensolve per unpadded chain,
-    and the weighted terms summed exactly by ``math.fsum``."""
+    """The element one chain at a time: one eigensolve per chain, and the
+    weighted terms summed exactly by ``math.fsum``."""
     terms = []
     for batch in junction.chain_batches(PARAMS, n_spins, source, target, gaps=GAPS):
-        for c, n in enumerate(batch.length):
+        for c, sites in enumerate(chain_sites(batch)):
+            first, n = sites.start, sites.stop - sites.start
             if n > 1:
-                evals, vecs = scipy.linalg.eigh_tridiagonal(batch.diag[c, :n],
-                                                            batch.hop[c, :n - 1])
+                evals, vecs = scipy.linalg.eigh_tridiagonal(batch.diag[sites],
+                                                            batch.hop[first:sites.stop - 1])
             else:
-                evals, vecs = batch.diag[c, :1], np.ones((1, 1))
+                evals, vecs = batch.diag[sites], np.ones((1, 1))
             terms.append(batch.weight[c] * complex(
-                (vecs[batch.end[c]] * np.exp(-1j * t * evals)) @ vecs[batch.start[c]]))
+                (vecs[batch.end[c] - first] * np.exp(-1j * t * evals))
+                @ vecs[batch.start[c] - first]))
     return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
 
 
@@ -124,8 +139,8 @@ def counting_solver(monkeypatch):
 
 @pytest.mark.parametrize("source,target", [((0, 0), (1, -1)), ((0, 0), (0, 0))])
 def test_solver_counts_every_chain_site(monkeypatch, source, target):
-    lengths = np.concatenate([batch.length for batch in junction.chain_batches(
-        PARAMS, 8, source, target, gaps=GAPS)])
+    lengths = np.array([sites.stop - sites.start for batch in junction.chain_batches(
+        PARAMS, 8, source, target, gaps=GAPS) for sites in chain_sites(batch)])
     calls = counting_solver(monkeypatch)
     junction.evolution_element(PARAMS, 8, source, target, 0.7, gaps=GAPS)
     assert calls
@@ -144,22 +159,22 @@ def test_packs_match_chain_by_chain_exponential(monkeypatch):
     # one-site chain may be left alone
     rng = np.random.default_rng(3)
     length = np.array([3, 200, 1, 5, 130, 1])
-    width = length.max()
-    live = np.arange(width) < length[:, None]
-    diag = np.where(live, rng.normal(size=(length.size, width)), 0.0)
-    hop = np.where(live[:, 1:], rng.normal(size=(length.size, width - 1)), 0.0)
-    start = np.array([rng.integers(n) for n in length])
-    end = np.array([rng.integers(n) for n in length])
+    first = np.cumsum(length) - length
+    diag = rng.normal(size=length.sum())
+    hop = rng.normal(size=length.sum() - 1)
+    hop[first[1:] - 1] = 0.0  # no hop from one chain to the next
+    start = first + np.array([rng.integers(n) for n in length])
+    end = first + np.array([rng.integers(n) for n in length])
     # the sector and charge labels are not read by the solve
     batch = junction.ChainBatch(s_l=None, s_r=None, weight=None, a=None, b=None,
-                                diag=diag, hop=hop, length=length, start=start, end=end)
+                                diag=diag, hop=hop, first=first, start=start, end=end)
     calls = counting_solver(monkeypatch)
     got = junction._chain_elements(batch, 0.9)
     assert [sites for sites, _ in calls] == [3, 200, 6, 130]
-    for c, n in enumerate(length):
-        h = (np.diag(diag[c, :n]) + np.diag(hop[c, :n - 1], 1)
-             + np.diag(hop[c, :n - 1], -1))
-        want = scipy.linalg.expm(-0.9j * h)[end[c], start[c]]
+    for c, sites in enumerate(chain_sites(batch)):
+        inner = hop[sites.start:sites.stop - 1]
+        h = np.diag(diag[sites]) + np.diag(inner, 1) + np.diag(inner, -1)
+        want = scipy.linalg.expm(-0.9j * h)[end[c] - first[c], start[c] - first[c]]
         assert got[c] == pytest.approx(want, abs=1e-12)
 
 

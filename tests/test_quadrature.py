@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qfluct.errors import NumericalError
-from qfluct.quadrature import ordered_phase_integral
+from qfluct.errors import NumericalError, ParameterError
+from qfluct.quadrature import _dyson_bound, chain_dyson, ordered_phase_integral
 
 
 def test_single_level_closed_form():
@@ -32,3 +33,51 @@ def test_node_cap_raises():
     # the phase needs about 6000 nodes from the start, above the cap
     with pytest.raises(NumericalError):
         ordered_phase_integral([[1e4]], 1.0)
+
+
+def test_no_nesting_level_is_parameter_error():
+    with pytest.raises(ParameterError):
+        ordered_phase_integral(np.zeros((0, 3)), 1.0)
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_chains_end_to_end_match_each_chain_alone(order):
+    rng = np.random.default_rng(7)
+    length = np.array([4, 1, 6, 2, 5])
+    first = np.cumsum(length) - length
+    diag = rng.normal(scale=2.0, size=length.sum())
+    hop = rng.normal(scale=0.5, size=length.sum() - 1)
+    hop[first[1:] - 1] = 0.0  # no hop from one chain to the next
+    start = first + np.array([rng.integers(n) for n in length])
+    seed = np.zeros((length.sum(), 2), dtype=complex)
+    seed[first + np.array([rng.integers(n) for n in length]), 0] = 1.0
+    seed[:, 1] = rng.normal(size=length.sum())
+    together = chain_dyson(diag, hop, start, seed, 1.1, order)
+    assert together.shape == (length.size, 2)
+    for c, (lo, n) in enumerate(zip(first, length)):
+        alone = chain_dyson(diag[lo:lo + n], hop[lo:lo + n - 1], [start[c] - lo],
+                            seed[lo:lo + n], 1.1, order)
+        np.testing.assert_allclose(together[c], alone[0], rtol=0, atol=1e-12)
+
+
+def test_dyson_bound_is_the_plain_formula_where_representable():
+    assert _dyson_bound(169, 1.5) == 1.5**170 / math.factorial(170)
+    assert _dyson_bound(3, 1.6, 0.4) == 1.6**4 * 0.4**4 / math.factorial(4)
+    assert _dyson_bound(0, 1e300) == 1e300
+
+
+def test_dyson_bound_past_the_float_factorial():
+    # (K+1)! is past the largest float from K = 170 on
+    want = float(Fraction(2**171, math.factorial(171)))
+    assert _dyson_bound(170, 2.0) == pytest.approx(want, rel=1e-12)
+    assert _dyson_bound(170, 0.6) == 0.0
+    assert _dyson_bound(500, 2.0) == 0.0
+    assert _dyson_bound(500, 0.0) == 0.0
+    assert _dyson_bound(500, 1e3) == math.inf
+
+
+def test_dyson_bound_at_huge_scale():
+    assert _dyson_bound(2, 1e300) == math.inf
+    # one power overflows, the product does not
+    assert _dyson_bound(2, 1e200, 1e-200) == pytest.approx(1.0 / 6.0, rel=1e-12)
+    assert _dyson_bound(500, 1e300) == math.inf
