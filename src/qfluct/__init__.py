@@ -4,9 +4,9 @@ circuit they converge to."""
 
 __version__ = "0.1.0"
 
-from .circle import (ChargeBasisTruncation, CircleState, CircuitParams,
-                     build_hamiltonian, build_weyl, dyson_circle, dyson_defect,
-                     josephson_current, phase_peaked_state, propagator, spectrum)
+from .circle import (ChargeBasisTruncation, CircuitParams, build_hamiltonian,
+                     build_weyl, dyson_circle, dyson_defect, josephson_current,
+                     phase_peaked_state, propagator, spectrum)
 from .correlators import (ConvergenceResult, FluctuationWord, WordFactor,
                           convergence_sweep, correlation_finite_n,
                           mesoscopic_prediction, pair_expectation,

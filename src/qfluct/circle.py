@@ -2,16 +2,17 @@
 basis: the large-N target of the collective fluctuations, and the charge
 qubit Hamiltonian living on it.
 
-The basis is ``|n>`` with ``n`` running over an integer (or, for the
-junction's relative coordinate, half-integer) window of width
-``2 n_max + 1``.  The momentum is diagonal, the phase exponentials are
+The basis is ``|n>`` with ``n`` running over the integer window
+``-n_max .. n_max``.  The momentum is diagonal, the phase exponentials are
 shifts, and the Hamiltonian
 
     h = E_C (p - n_g)^2 + E_J cos(phi)
 
-is tridiagonal.  Truncation is a hard cutoff (shifted-out amplitude is
-dropped); every spectral or dynamical query can be checked by doubling the
-window.
+is tridiagonal.  A half-integer charge grid (the junction's relative
+coordinate at odd total charge) needs no grid of its own: ``n + 1/2``
+with offset charge ``n_g`` is ``n`` with ``n_g - 1/2``.  Truncation is a
+hard cutoff (shifted-out amplitude is dropped); every spectral or dynamical
+query can be checked by doubling the window.
 
 Sign convention: the cosine enters with the sign of ``E_J`` as configured.
 The positive sign is the one the junction derivation produces for positive
@@ -32,7 +33,6 @@ from .quadrature import _dyson_bound, chain_dyson
 __all__ = [
     "CircuitParams",
     "ChargeBasisTruncation",
-    "CircleState",
     "SpectrumResult",
     "build_weyl",
     "build_hamiltonian",
@@ -48,74 +48,43 @@ __all__ = [
 @dataclass(frozen=True)
 class CircuitParams:
     """Charge qubit circuit parameters: charging energy, Josephson energy
-    (signed), offset charge, and the momentum-grid offset (0 or 1/2) used
-    when the circle hosts a junction's relative coordinate."""
+    (signed) and offset charge."""
 
     e_c: float
     e_j: float
     n_g: float = 0.0
-    charge_offset: float = 0.0
 
     def __post_init__(self):
-        require_finite(e_c=self.e_c, e_j=self.e_j, n_g=self.n_g,
-                       charge_offset=self.charge_offset)
+        require_finite(e_c=self.e_c, e_j=self.e_j, n_g=self.n_g)
         if self.e_c <= 0:
             raise ParameterError(f"e_c must be positive, got {self.e_c}")
-        if self.charge_offset not in (0.0, 0.5):
-            raise ParameterError("charge_offset must be 0 or 1/2")
 
 
 @dataclass(frozen=True)
 class ChargeBasisTruncation:
-    """Charge window ``n in {-n_max + q0, ..., n_max + q0}``."""
+    """Integer charge window ``n in {-n_max, ..., n_max}``."""
 
     n_max: int
-    charge_offset: float = 0.0
 
     def __post_init__(self):
         if self.n_max < 2:
             raise ParameterError(f"n_max must be >= 2, got {self.n_max}")
-        if self.charge_offset not in (0.0, 0.5):
-            raise ParameterError("charge_offset must be 0 or 1/2")
 
     @property
     def dim(self) -> int:
         return 2 * self.n_max + 1
 
     def grid(self) -> np.ndarray:
-        return np.arange(-self.n_max, self.n_max + 1, dtype=float) + self.charge_offset
+        return np.arange(-self.n_max, self.n_max + 1, dtype=float)
 
     def index_of(self, n) -> int:
-        idx = n - self.charge_offset + self.n_max
+        idx = n + self.n_max
         if abs(idx - round(idx)) > 1e-9 or not (0 <= round(idx) < self.dim):
             raise ParameterError(f"charge {n} not on the truncated grid")
         return int(round(idx))
 
     def doubled(self) -> "ChargeBasisTruncation":
-        return ChargeBasisTruncation(2 * self.n_max, self.charge_offset)
-
-
-@dataclass
-class CircleState:
-    """State vector over the charge basis."""
-
-    amplitudes: np.ndarray
-    trunc: ChargeBasisTruncation
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (self.trunc.dim,):
-            raise ParameterError("amplitude vector does not match the basis size")
-        if not np.all(np.isfinite(self.amplitudes.view(float))):
-            raise ParameterError("amplitudes must be finite")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    @property
-    def normalized(self) -> bool:
-        return abs(self.norm - 1.0) < 1e-10
+        return ChargeBasisTruncation(2 * self.n_max)
 
 
 def build_weyl(trunc: ChargeBasisTruncation, k: int) -> np.ndarray:
@@ -205,17 +174,22 @@ def dyson_defect(params: CircuitParams, trunc: ChargeBasisTruncation, t: float,
 
 
 def josephson_current(params: CircuitParams, trunc: ChargeBasisTruncation,
-                      state: CircleState) -> float:
-    """Expectation of the current operator E_J sin(phi) = E_J Im<e^{i phi}>."""
-    if not state.normalized:
+                      state) -> float:
+    """Expectation of the current operator E_J sin(phi) = E_J Im<e^{i phi}>
+    in ``state``, a normalized amplitude vector over the charge basis."""
+    state = np.asarray(state, dtype=complex)
+    if state.shape != (trunc.dim,):
+        raise ParameterError("amplitude vector does not match the basis size")
+    if not abs(np.linalg.norm(state) - 1.0) < 1e-10:  # also rejects NaN
         raise ParameterError("current expects a normalized state")
     up = build_weyl(trunc, 1)
-    return float(params.e_j * np.imag(np.vdot(state.amplitudes, up @ state.amplitudes)))
+    return float(params.e_j * np.imag(np.vdot(state, up @ state)))
 
 
 def phase_peaked_state(trunc: ChargeBasisTruncation, phi_bar: float,
-                       width: float) -> CircleState:
-    """Normalized wave packet concentrated at phase ``phi_bar``.
+                       width: float) -> np.ndarray:
+    """Normalized amplitude vector of a wave packet concentrated at phase
+    ``phi_bar``.
 
     Gaussian charge envelope of inverse width ``2/width``, so the angular
     spread is of order ``width``; as width -> 0 the phase expectation
@@ -229,7 +203,5 @@ def phase_peaked_state(trunc: ChargeBasisTruncation, phi_bar: float,
             f"width {width} needs charge support ~{4.0 / width:.1f} > n_max={trunc.n_max}"
         )
     grid = trunc.grid()
-    x = grid - trunc.charge_offset
-    amps = np.exp(-0.25 * (width * x) ** 2) * np.exp(-1j * grid * phi_bar)
-    amps /= np.linalg.norm(amps)
-    return CircleState(amps, trunc)
+    amps = np.exp(-0.25 * (width * grid) ** 2) * np.exp(-1j * grid * phi_bar)
+    return amps / np.linalg.norm(amps)

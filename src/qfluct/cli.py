@@ -120,20 +120,18 @@ def _read(cfg: dict, keys: dict) -> dict:
 
 
 _REQUIRED = object()  # the default of a key that every config sets
-_LAYER_KEYS = {"epsilon": (_num, _REQUIRED), "t_c": (_num, _REQUIRED), "mu": (_num, 0.0)}
+_LAYER_KEYS = {"epsilon": (_num, _REQUIRED), "t_c": (_num, _REQUIRED)}
 # {command: {key: (parser, default)}}, the one place a config key is named
 _CONFIG_KEYS = {
     "gap": {"epsilon": (_num, _REQUIRED), "t_c": (_num, _REQUIRED), "lambda": (_num, 1.0),
             "betas": (_num_list, _REQUIRED)},
     "converge": {"epsilon": (_num, _REQUIRED), "t_c": (_num, _REQUIRED),
-                 "beta": (_num, _REQUIRED), "mu": (_num, 0.0),
-                 "word": (_word, [[0.0, 1, 1]]),
+                 "beta": (_num, _REQUIRED), "word": (_word, [[0.0, 1, 1]]),
                  "n_list": (_int_list, [64, 128, 256, 512, 1024, 2048, 4096]),
                  "w_power": (_int, 1), "time": (_num, 1.0)},
     "circle": {"e_c": (_num, _REQUIRED), "e_j": (_num, _REQUIRED), "n_g": (_num, 0.0),
-               "charge_offset": (_num, 0.0), "n_max": (_int, 32), "levels": (_int, 5),
-               "dispersion_points": (_int, 21), "phase_points": (_int, 25),
-               "packet_width": (_num, 0.5)},
+               "n_max": (_int, 32), "levels": (_int, 5), "dispersion_points": (_int, 21),
+               "phase_points": (_int, 25), "packet_width": (_num, 0.5)},
     "junction": {"left": (_layer, _REQUIRED), "right": (_layer, _REQUIRED),
                  "beta": (_num, _REQUIRED), "lambda": (_num, _REQUIRED),
                  "e_c": (_num, _REQUIRED), "n_g": (_num, 0.0), "time": (_num, _REQUIRED),
@@ -211,8 +209,7 @@ def cmd_gap(c: dict):
 
 
 def cmd_converge(c: dict):
-    params = sectors.ModelParams(epsilon=c["epsilon"], t_c=c["t_c"], beta=c["beta"],
-                                 mu=c["mu"])
+    params = sectors.ModelParams(epsilon=c["epsilon"], t_c=c["t_c"], beta=c["beta"])
     n_list = c["n_list"]
     sol = gap.solve_gap(params.epsilon, params.t_c, params.beta)
     sweep = correlators.convergence_sweep(params, c["word"], sol, n_list)
@@ -250,9 +247,8 @@ def cmd_converge(c: dict):
 
 
 def cmd_circle(c: dict):
-    params = circle.CircuitParams(e_c=c["e_c"], e_j=c["e_j"], n_g=c["n_g"],
-                                  charge_offset=c["charge_offset"])
-    trunc = circle.ChargeBasisTruncation(c["n_max"], params.charge_offset)
+    params = circle.CircuitParams(e_c=c["e_c"], e_j=c["e_j"], n_g=c["n_g"])
+    trunc = circle.ChargeBasisTruncation(c["n_max"])
     levels, dispersion_points = c["levels"], c["dispersion_points"]
     phase_points, width = c["phase_points"], c["packet_width"]
 
@@ -268,7 +264,7 @@ def cmd_circle(c: dict):
     disp_rows = []
     for i in range(dispersion_points):
         n_g = i / (dispersion_points - 1) if dispersion_points > 1 else 0.0
-        circuit = circle.CircuitParams(params.e_c, params.e_j, n_g, params.charge_offset)
+        circuit = circle.CircuitParams(params.e_c, params.e_j, n_g)
         disp_rows.append([n_g] + [float(e) for e in converged_spectrum(circuit)])
 
     current_rows = []
@@ -398,9 +394,8 @@ def _selftest_junction(report) -> bool:
         lam=0.8, e_c=0.5, n_g=0.25, beta=2.0,
     )
     gaps = junction.layer_gaps(params)
-    pl, pr = params.layer_params()
-    oracle = dense.DenseJunction(pl, pr, params.lam, params.e_c, params.n_g,
-                                 gaps[0], gaps[1], 2)
+    oracle = dense.DenseJunction(params.left, params.right, params.lam, params.e_c,
+                                 params.n_g, gaps[0], gaps[1], 2)
     worst = _worst(junction.evolution_element(params, 2, source, target, 0.7,
                                               gaps=gaps).value
                    - oracle.element(source, target, 0.7)

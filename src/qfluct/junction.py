@@ -24,7 +24,7 @@ effect), and the large-N coupling of the relative phase is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -52,9 +52,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JunctionParams:
-    """Junction parameters: the two layers (their beta is overridden by the
-    common junction temperature), tunneling coupling, charging energy and
-    offset charge."""
+    """Junction parameters: the two layers, tunneling coupling, charging
+    energy, offset charge and the common inverse temperature.  Each layer's
+    ``beta`` must equal the junction's, and its ``mu`` must be 0: the
+    junction Hamiltonian has no chemical-potential term."""
 
     left: ModelParams
     right: ModelParams
@@ -69,16 +70,18 @@ class JunctionParams:
             raise ParameterError(f"beta must be positive, got {self.beta}")
         if self.e_c < 0:
             raise ParameterError("e_c must be non-negative")
-
-    def layer_params(self):
-        return (replace(self.left, beta=self.beta),
-                replace(self.right, beta=self.beta))
+        for side, layer in (("left", self.left), ("right", self.right)):
+            if layer.beta != self.beta:
+                raise ParameterError(f"{side} layer beta {layer.beta} differs from "
+                                     f"the junction beta {self.beta}")
+            if layer.mu != 0.0:
+                raise ParameterError(f"{side} layer mu must be 0, got {layer.mu}")
 
 
 def layer_gaps(params: JunctionParams):
     """Solve both layers' gap equations at the common temperature; both must
     be superconducting for any fluctuation dynamics to exist."""
-    pl, pr = params.layer_params()
+    pl, pr = params.left, params.right
     return _resolve_gaps(params, (solve_gap(pl.epsilon, pl.t_c, pl.beta),
                                   solve_gap(pr.epsilon, pr.t_c, pr.beta)))
 
@@ -133,7 +136,7 @@ def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=Non
     labels plus the charging term; hops: the tunneling ladder products scaled
     by lambda / N^2."""
     gl, gr = _resolve_gaps(params, gaps)
-    pl, pr = params.layer_params()
+    pl, pr = params.left, params.right
     (n_l, n_r), (n_lp, n_rp) = source, target
     log_norm = ((abs(n_l) + abs(n_lp)) * math.log(gl.c * n_spins)
                 + (abs(n_r) + abs(n_rp)) * math.log(gr.c * n_spins))
@@ -233,10 +236,12 @@ _CIRCLE_N_MAX = 24
 def circle_element(params: JunctionParams, source, target, t: float,
                    gaps=None) -> complex:
     """Large-N prediction for a charge-transfer element: the relative
-    coordinate lives on an integer or half-integer charge grid selected by
-    the parity of the conserved total charge, with Josephson coupling
-    ``2 lambda c_L c_R``.  The truncation ``_CIRCLE_N_MAX`` is doubled once
-    and must agree to 1e-12; a relative charge ``(n_L - n_R) / 2`` outside
+    coordinate ``(n_L - n_R) / 2`` on the circle with Josephson coupling
+    ``2 lambda c_L c_R``.  It is an integer for an even total charge and a
+    half-integer for an odd one; a half-integer charge ``n`` with offset
+    ``n_g`` is the integer charge ``n - 1/2`` with offset ``n_g - 1/2``, so
+    both use the integer grid.  The truncation ``_CIRCLE_N_MAX`` is doubled
+    once and must agree to 1e-12; a relative charge outside
     ``|n| <= _CIRCLE_N_MAX`` is a ``ParameterError``."""
     if sum(source) != sum(target):
         return 0j
@@ -248,16 +253,16 @@ def circle_element(params: JunctionParams, source, target, t: float,
             f"needs relative charges (nL - nR)/2 with |n| <= {_CIRCLE_N_MAX}, "
             f"got {n_in:g} -> {n_out:g}")
     gl, gr = _resolve_gaps(params, gaps)
-    offset = 0.0 if sum(source) % 2 == 0 else 0.5
+    shift = 0.0 if sum(source) % 2 == 0 else 0.5
     circuit = CircuitParams(
         e_c=params.e_c, e_j=josephson_energy(params.lam, gl.delta, gr.delta),
-        n_g=params.n_g, charge_offset=offset,
+        n_g=params.n_g - shift,
     )
 
     def one(n_max_):
-        trunc = ChargeBasisTruncation(n_max_, offset)
+        trunc = ChargeBasisTruncation(n_max_)
         u = propagator(circuit, trunc, t)
-        return complex(u[trunc.index_of(n_out), trunc.index_of(n_in)])
+        return complex(u[trunc.index_of(n_out - shift), trunc.index_of(n_in - shift)])
 
     small, big = one(_CIRCLE_N_MAX), one(2 * _CIRCLE_N_MAX)
     if abs(small - big) > 1e-12:

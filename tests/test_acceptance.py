@@ -202,8 +202,7 @@ def test_criterion_6_circle_module():
     amps = np.zeros(wide.dim, complex)
     amps[wide.index_of(0)] = 1 / math.sqrt(2)
     amps[wide.index_of(1)] = 1j / math.sqrt(2)
-    sup = circle.CircleState(amps, wide)
-    assert circle.josephson_current(params, wide, sup) == pytest.approx(
+    assert circle.josephson_current(params, wide, amps) == pytest.approx(
         -0.8 / 2, abs=1e-10)
 
     _report("criterion-6 circle module", time.time() - start, 10,

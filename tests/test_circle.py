@@ -11,11 +11,11 @@ def make_state(trunc, entries):
     amps = np.zeros(trunc.dim, complex)
     for n, a in entries.items():
         amps[trunc.index_of(n)] = a
-    return circle.CircleState(amps, trunc)
+    return amps
 
 
 def propagate(params, trunc, state, t):
-    return circle.CircleState(circle.propagator(params, trunc, t) @ state.amplitudes, trunc)
+    return circle.propagator(params, trunc, t) @ state
 
 
 def test_momentum_is_diagonal_grid():
@@ -24,12 +24,6 @@ def test_momentum_is_diagonal_grid():
     assert p[trunc.index_of(0), trunc.index_of(0)] == 0.0
     np.testing.assert_array_equal(np.diag(p), np.arange(-5, 6))
     assert np.count_nonzero(p - np.diag(np.diag(p))) == 0
-
-
-def test_half_integer_grid():
-    trunc = circle.ChargeBasisTruncation(3, charge_offset=0.5)
-    np.testing.assert_array_equal(trunc.grid(), np.arange(-3, 4) + 0.5)
-    assert trunc.index_of(0.5) == 3
 
 
 def test_weyl_shift_action():
@@ -128,19 +122,18 @@ def test_evolution_identity_and_unitarity():
     trunc = circle.ChargeBasisTruncation(10)
     state = make_state(trunc, {0: 1 / math.sqrt(2), 1: 1j / math.sqrt(2)})
     same = propagate(params, trunc, state, 0.0)
-    np.testing.assert_allclose(same.amplitudes, state.amplitudes, atol=1e-14)
+    np.testing.assert_allclose(same, state, atol=1e-14)
     moved = propagate(params, trunc, state, 1.7)
-    assert abs(moved.norm - 1.0) < 1e-12
+    assert abs(np.linalg.norm(moved) - 1.0) < 1e-12
 
 
 def test_free_evolution_pure_phases():
     params = circle.CircuitParams(e_c=1.3, e_j=0.0, n_g=0.4)
     trunc = circle.ChargeBasisTruncation(6)
     amps = np.ones(trunc.dim, complex) / math.sqrt(trunc.dim)
-    state = circle.CircleState(amps, trunc)
-    out = propagate(params, trunc, state, 0.9)
+    out = propagate(params, trunc, amps, 0.9)
     want = amps * np.exp(-1j * 0.9 * 1.3 * (trunc.grid() - 0.4) ** 2)
-    np.testing.assert_allclose(out.amplitudes, want, atol=1e-12)
+    np.testing.assert_allclose(out, want, atol=1e-12)
 
 
 def test_group_law():
@@ -149,7 +142,7 @@ def test_group_law():
     state = make_state(trunc, {0: 0.6, 1: 0.8j})
     once = propagate(params, trunc, propagate(params, trunc, state, 0.4), 0.9)
     both = propagate(params, trunc, state, 1.3)
-    np.testing.assert_allclose(once.amplitudes, both.amplitudes, atol=1e-10)
+    np.testing.assert_allclose(once, both, atol=1e-10)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
@@ -202,8 +195,9 @@ def test_dyson_terms_vs_block_exponential():
     # of exp(-i t (H_0 + V))
     from scipy.linalg import expm
 
-    params = circle.CircuitParams(e_c=1.3, e_j=-0.7, n_g=0.3, charge_offset=0.5)
-    trunc = circle.ChargeBasisTruncation(4, charge_offset=0.5)
+    # n_g = 0.3 - 1/2 on the integer grid is n_g = 0.3 on the half-integer one
+    params = circle.CircuitParams(e_c=1.3, e_j=-0.7, n_g=0.3 - 0.5)
+    trunc = circle.ChargeBasisTruncation(4)
     t, order, dim = 0.8, 6, trunc.dim
     h = circle.build_hamiltonian(params, trunc)
     h0 = np.diag(np.diag(h))
@@ -237,23 +231,26 @@ def test_current_on_vacuum_and_superposition():
 def test_current_requires_normalized_state():
     params = circle.CircuitParams(e_c=1.0, e_j=1.0)
     trunc = circle.ChargeBasisTruncation(4)
-    bad = make_state(trunc, {0: 2.0})
-    with pytest.raises(ParameterError):
-        circle.josephson_current(params, trunc, bad)
+    unit = make_state(trunc, {0: 1.0})
+    nan = unit.copy()
+    nan[1] = math.nan
+    for bad in (2.0 * unit, unit[:-1], unit[:, None], nan):
+        with pytest.raises(ParameterError):
+            circle.josephson_current(params, trunc, bad)
 
 
 def test_phase_peaked_state_properties():
     trunc = circle.ChargeBasisTruncation(40)
     phi_bar, width = 1.1, 0.2
     state = circle.phase_peaked_state(trunc, phi_bar, width)
-    assert abs(state.norm - 1.0) < 1e-12
+    assert abs(np.linalg.norm(state) - 1.0) < 1e-12
     up = circle.build_weyl(trunc, 1)
-    phase_exp = complex(np.vdot(state.amplitudes, up @ state.amplitudes))
+    phase_exp = complex(np.vdot(state, up @ state))
     assert math.isclose(np.angle(phase_exp), phi_bar, abs_tol=width)
     assert abs(phase_exp) > 0.9
 
     wide = circle.phase_peaked_state(trunc, phi_bar, 6.0)
-    wide_exp = complex(np.vdot(wide.amplitudes, up @ wide.amplitudes))
+    wide_exp = complex(np.vdot(wide, up @ wide))
     assert abs(wide_exp) < 0.05
 
     with pytest.raises(TruncationError):
@@ -283,7 +280,7 @@ def test_current_is_charge_velocity():
         h = 1e-4
 
         def p_expect(t):
-            amps = propagate(evolution_params, trunc, state, t).amplitudes
+            amps = propagate(evolution_params, trunc, state, t)
             return float(np.real(np.vdot(amps, p @ amps)))
 
         return (p_expect(h) - p_expect(-h)) / (2 * h)
@@ -293,9 +290,9 @@ def test_current_is_charge_velocity():
     assert current == pytest.approx(-velocity(flipped), abs=1e-6)
 
 
-@pytest.mark.parametrize("field", ["e_c", "e_j", "n_g", "charge_offset"])
+@pytest.mark.parametrize("field", ["e_c", "e_j", "n_g"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_circuit_params_reject_non_finite(field, value):
-    fields = {"e_c": 1.0, "e_j": 0.2, "n_g": 0.3, "charge_offset": 0.0, field: value}
+    fields = {"e_c": 1.0, "e_j": 0.2, "n_g": 0.3, field: value}
     with pytest.raises(ParameterError):
         circle.CircuitParams(**fields)

@@ -206,17 +206,84 @@ CONVERGE = {"epsilon": 0.0, "t_c": 1.0, "beta": 2.0}
     ("junction", {**JUNCTION, "dyson_n": 3}),
     ("junction", {**JUNCTION, "dyson_order": -1}),
     ("junction", {**JUNCTION, "elements": [[0, 0, 25, -25]]}),
+    ("converge", {**CONVERGE, "mu": 0.1}),
+    ("junction", {**JUNCTION, "left": {**JUNCTION["left"], "mu": 0.0}}),
+    ("circle", {**CIRCLE, "charge_offset": 0.5}),
 ], ids=["junction-time-nan", "circle-ej-nan", "circle-ec-huge-int", "junction-empty-n-list",
         "converge-empty-n-list", "circle-zero-levels", "junction-fractional-n",
         "junction-fractional-element", "converge-huge-n", "converge-huge-w-power",
         "circle-huge-n-max", "junction-huge-dyson-order", "converge-n-past-cap",
         "junction-dyson-n-past-cap", "junction-odd-dyson-n", "junction-negative-dyson-order",
-        "junction-element-past-circle-window"])
+        "junction-element-past-circle-window", "converge-mu", "junction-layer-mu",
+        "circle-charge-offset"])
 def test_malformed_config_is_config_error(tmp_path, capsys, command, config):
     code, out = run(tmp_path, command, config)
     assert code == 2
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()  # nothing is written before every result is computed
+
+
+# a small valid config per command, and one other valid value per config key
+# ("left.t_c" is the key t_c of the junction's left layer)
+MOVES_BASE = {
+    "gap": {"epsilon": 0.0, "t_c": 1.0, "betas": [2.0, 4.0]},
+    "converge": {**CONVERGE, "n_list": [4, 8]},
+    "circle": {**CIRCLE, "n_g": 0.3, "n_max": 8, "levels": 2, "dispersion_points": 2,
+               "phase_points": 2, "packet_width": 0.8},
+    "junction": {**JUNCTION, "n_list": [2, 4], "dyson_order": 1},
+}
+ALTERNATES = {
+    "gap": {"epsilon": 0.1, "t_c": 1.1, "lambda": 0.5, "betas": [2.0, 5.0]},
+    # a phase on a single balanced factor cancels, so the word changes a power
+    "converge": {"epsilon": 0.1, "t_c": 1.1, "beta": 2.5, "word": [[0.0, 2, 2]],
+                 "n_list": [4, 6], "w_power": 2, "time": 0.5},
+    "circle": {"e_c": 1.2, "e_j": 0.3, "n_g": 0.1, "n_max": 9, "levels": 3,
+               "dispersion_points": 3, "phase_points": 3, "packet_width": 0.6},
+    "junction": {"left": {"epsilon": 0.0, "t_c": 1.2}, "right": {"epsilon": 0.0, "t_c": 1.2},
+                 "left.epsilon": 0.1, "left.t_c": 1.1, "right.epsilon": 0.1,
+                 "right.t_c": 1.1, "beta": 2.5, "lambda": 0.6, "e_c": 0.5, "n_g": 0.2,
+                 "time": 0.4, "n_list": [2, 6], "elements": [[0, 0, 0, 0]],
+                 "dyson_order": 2, "dyson_n": 4},
+}
+
+
+def results(out):
+    """Every output of a run, without what only echoes the config: the ``#``
+    provenance lines, ``_provenance``, the manifest's ``params`` and the word
+    echo."""
+    found = {}
+    for path in sorted(out.iterdir()):
+        if path.name == "word_echo.json":
+            continue
+        if path.suffix == ".csv":
+            found[path.name] = read_csv(path)[1]
+        else:
+            doc = json.loads(path.read_text())
+            doc.pop("_provenance")
+            if path.name == "run_manifest.json":
+                doc.pop("params")
+            found[path.name] = doc
+    return found
+
+
+def test_every_config_key_moves_a_result(tmp_path):
+    registered = {(command, key) for command, keys in cli._CONFIG_KEYS.items()
+                  for key in keys}
+    registered |= {("junction", f"{side}.{key}") for side in ("left", "right")
+                   for key in cli._LAYER_KEYS}
+    assert {(command, key) for command, keys in ALTERNATES.items()
+            for key in keys} == registered
+    for command, alternates in ALTERNATES.items():
+        code, out = run(tmp_path / command, command, MOVES_BASE[command])
+        assert code == 0
+        base = results(out)
+        for key, value in alternates.items():
+            config = json.loads(json.dumps(MOVES_BASE[command]))
+            side, _, layer_key = key.rpartition(".")
+            (config[side] if side else config)[layer_key] = value
+            code, out = run(tmp_path / command / key, command, config)
+            assert code == 0, key
+            assert results(out) != base, f"{command}.{key} changes no result"
 
 
 def test_converge_rejects_non_positive_spin_counts(tmp_path, capsys):

@@ -35,11 +35,10 @@ LAYER = {"epsilon": 0.0, "t_c": 1.0}
 
 VALID = {
     "gap": {"epsilon": 0.1, "t_c": 1.0, "lambda": 1.0, "betas": [2.0, 3.0]},
-    "converge": {"epsilon": 0.0, "t_c": 1.0, "beta": 2.0, "mu": 0.1,
-                 "word": [[0.0, 1, 1]], "n_list": [4, 8], "w_power": 1, "time": 0.5},
-    "circle": {"e_c": 1.0, "e_j": 0.2, "n_g": 0.3, "charge_offset": 0.0, "n_max": 8,
-               "levels": 2, "dispersion_points": 2, "phase_points": 2,
-               "packet_width": 0.8},
+    "converge": {"epsilon": 0.0, "t_c": 1.0, "beta": 2.0, "word": [[0.0, 1, 1]],
+                 "n_list": [4, 8], "w_power": 1, "time": 0.5},
+    "circle": {"e_c": 1.0, "e_j": 0.2, "n_g": 0.3, "n_max": 8, "levels": 2,
+               "dispersion_points": 2, "phase_points": 2, "packet_width": 0.8},
     "junction": {"left": dict(LAYER), "right": dict(LAYER), "beta": 2.0, "lambda": 0.5,
                  "e_c": 0.4, "n_g": 0.1, "time": 0.3, "n_list": [2, 4],
                  "elements": [[0, 0, 1, -1]], "dyson_order": 1, "dyson_n": 2},

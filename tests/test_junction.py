@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from qfluct import correlators, dense, junction, sectors
+from qfluct import correlators, dense, gap, junction, sectors
 from qfluct.errors import NormalPhaseError, ParameterError
 
 PARAMS = junction.JunctionParams(
@@ -19,8 +20,7 @@ ELEMENTS = [((0, 0), (0, 0)), ((0, 0), (1, -1)), ((1, -1), (1, -1)),
 
 
 def dense_oracle(params=PARAMS, gaps=GAPS):
-    pl, pr = params.layer_params()
-    return dense.DenseJunction(pl, pr, params.lam, params.e_c, params.n_g,
+    return dense.DenseJunction(params.left, params.right, params.lam, params.e_c, params.n_g,
                                gaps[0], gaps[1], 2)
 
 
@@ -264,6 +264,24 @@ def test_half_integer_relative_grid():
     assert row.abs_errors[-1] < row.abs_errors[0]
 
 
+@pytest.mark.parametrize("source,target", [((1, 0), (0, 1)), ((2, -1), (0, 1))])
+def test_odd_total_circle_element_on_half_integer_grid(source, target):
+    # the relative charge (nL - nR)/2 of an odd total is a half-integer; the
+    # propagator built here on the half-integer grid is the reference
+    e_j = gap.josephson_energy(PARAMS.lam, GAPS[0].delta, GAPS[1].delta)
+    grid = np.arange(-48, 49) + 0.5
+    h = (np.diag(PARAMS.e_c * (grid - PARAMS.n_g) ** 2)
+         + np.diag(np.full(grid.size - 1, 0.5 * e_j), 1)
+         + np.diag(np.full(grid.size - 1, 0.5 * e_j), -1))
+    evals, vecs = np.linalg.eigh(h)
+    u = (vecs * np.exp(-1j * 0.9 * evals)) @ vecs.T
+    index = {n: i for i, n in enumerate(grid)}
+    want = u[index[(target[0] - target[1]) / 2], index[(source[0] - source[1]) / 2]]
+    got = junction.circle_element(PARAMS, source, target, 0.9, gaps=GAPS)
+    assert abs(want) > 1e-3
+    assert abs(got - want) <= 1e-14
+
+
 def test_identity_element_error_trend():
     rows = junction.meso_compare(PARAMS, [4, 8, 12], [((0, 0), (0, 0))], 0.4,
                                  gaps=GAPS)
@@ -300,7 +318,7 @@ def test_dyson_terms_vs_dense_matrix_quadrature():
     from numpy.polynomial import legendre
     from scipy.linalg import eigh
 
-    pl, pr = PARAMS.layer_params()
+    pl, pr = PARAMS.left, PARAMS.right
     full = dense.DenseJunction(pl, pr, PARAMS.lam, PARAMS.e_c, PARAMS.n_g,
                                GAPS[0], GAPS[1], 2)
     free = dense.DenseJunction(pl, pr, 0.0, PARAMS.e_c, PARAMS.n_g,
@@ -346,7 +364,7 @@ def test_dyson_terms_vs_block_exponential():
     # charge sector of each element
     from scipy.linalg import expm
 
-    pl, pr = PARAMS.layer_params()
+    pl, pr = PARAMS.left, PARAMS.right
     full = dense_oracle()
     free = dense.DenseJunction(pl, pr, 0.0, PARAMS.e_c, PARAMS.n_g,
                                GAPS[0], GAPS[1], 2)
@@ -377,7 +395,7 @@ def test_two_layer_correlator_vs_dense():
     # the thermal state carries no correlations between the layers, so the
     # joint expectation is the product of the single-layer values
     oracle = dense_oracle()
-    pl, pr = PARAMS.layer_params()
+    pl, pr = PARAMS.left, PARAMS.right
     words = [
         ([[0.0, 1, 1]], [[0.4, 1, 1]]),
         ([[0.3, 0, 1], [0.0, 1, 0]], [[0.0, 2, 2]]),
@@ -399,3 +417,15 @@ def test_junction_params_reject_non_finite(field, value):
               "n_g": 0.25, "beta": 2.0, field: value}
     with pytest.raises(ParameterError):
         junction.JunctionParams(**fields)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_junction_params_reject_layer_beta_and_mu(side):
+    # each layer runs at the junction's beta, and the junction has no
+    # chemical-potential term
+    fields = {"left": PARAMS.left, "right": PARAMS.right, "lam": 0.8, "e_c": 0.5,
+              "n_g": 0.25, "beta": 2.0}
+    layer = fields[side]
+    for bad in (dataclasses.replace(layer, beta=1.9), dataclasses.replace(layer, mu=0.2)):
+        with pytest.raises(ParameterError):
+            junction.JunctionParams(**{**fields, side: bad})

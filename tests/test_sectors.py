@@ -114,8 +114,9 @@ def test_boltzmann_rejects_odd_n():
 
 LAYER = sectors.ModelParams(epsilon=0.3, t_c=1.0, beta=1.6, mu=0.2)
 LAYER_GAP = gap.solve_gap(0.3, 1.0, 1.6)
-JUNCTION = junction.JunctionParams(left=LAYER, right=LAYER, lam=0.8, e_c=0.5, n_g=0.25,
-                                   beta=1.6)
+JUNCTION_LAYER = sectors.ModelParams(epsilon=0.3, t_c=1.0, beta=1.6)  # a junction's mu is 0
+JUNCTION = junction.JunctionParams(left=JUNCTION_LAYER, right=JUNCTION_LAYER, lam=0.8,
+                                   e_c=0.5, n_g=0.25, beta=1.6)
 PURE_PHASE = correlators.FluctuationWord.from_triples([[0.4, 0, 0]])
 
 # Every finite-N entry point, fed the inputs that return early where there
