@@ -109,11 +109,11 @@ def mesoscopic_prediction(word: FluctuationWord) -> complex:
 
 
 def _require_gap(gap: GapSolution) -> float:
-    if gap.c <= 0.0:
+    if gap.delta <= 0.0:
         raise NormalPhaseError(
             "gap is zero: fluctuation operators are undefined in the normal phase"
         )
-    return gap.c
+    return gap.delta
 
 
 def _ladder_walk(s: np.ndarray, sz: np.ndarray, word: FluctuationWord):

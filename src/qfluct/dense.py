@@ -119,7 +119,7 @@ def _apply_word(m_state: np.ndarray, params: ModelParams, n_spins: int,
 def dense_correlation(params: ModelParams, n_spins: int, word: FluctuationWord,
                       gap: GapSolution) -> complex:
     m0 = thermal_state_matrix(params, n_spins)
-    mx = _apply_word(m0.astype(complex), params, n_spins, word, gap.c)
+    mx = _apply_word(m0.astype(complex), params, n_spins, word, gap.delta)
     return complex(np.sum(m0.conj() * mx))
 
 
@@ -132,7 +132,7 @@ def dense_evolution_element(params: ModelParams, n_spins: int, n: int, m: int,
     evals, vecs = eigh(h)
 
     m0 = thermal_state_matrix(params, n_spins).astype(complex)
-    scale = gap.c * n_spins
+    scale = gap.delta * n_spins
     ket = m0.copy()
     for _ in range(m):
         ket = (sp @ ket) / scale
@@ -199,10 +199,10 @@ class DenseJunction:
         self.p_l_diag = np.diag(p_l).copy()
         self.p_r_diag = np.diag(p_r).copy()
         self.hamiltonian = h_free + h_int + h_c
-        self.e_lp = _kron4(sp, eye, eye, eye) / (gap_l.c * n_spins)
-        self.e_lm = _kron4(sm, eye, eye, eye) / (gap_l.c * n_spins)
-        self.e_rp = _kron4(eye, eye, sp, eye) / (gap_r.c * n_spins)
-        self.e_rm = _kron4(eye, eye, sm, eye) / (gap_r.c * n_spins)
+        self.e_lp = _kron4(sp, eye, eye, eye) / (gap_l.delta * n_spins)
+        self.e_lm = _kron4(sm, eye, eye, eye) / (gap_l.delta * n_spins)
+        self.e_rp = _kron4(eye, eye, sp, eye) / (gap_r.delta * n_spins)
+        self.e_rm = _kron4(eye, eye, sm, eye) / (gap_r.delta * n_spins)
 
         m_l = thermal_state_matrix(left, n_spins)
         m_r = thermal_state_matrix(right, n_spins)

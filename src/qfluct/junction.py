@@ -138,8 +138,8 @@ def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=Non
     gl, gr = _resolve_gaps(params, gaps)
     pl, pr = params.left, params.right
     (n_l, n_r), (n_lp, n_rp) = source, target
-    log_norm = ((abs(n_l) + abs(n_lp)) * math.log(gl.c * n_spins)
-                + (abs(n_r) + abs(n_rp)) * math.log(gr.c * n_spins))
+    log_norm = ((abs(n_l) + abs(n_lp)) * math.log(gl.delta * n_spins)
+                + (abs(n_r) + abs(n_rp)) * math.log(gr.delta * n_spins))
 
     s_r, sz_r0, logw_r = thermal_table(pr, n_spins).flat()
     amp_r = ladder_coefficient(s_r, sz_r0, n_r) * ladder_coefficient(s_r, sz_r0, n_rp)
@@ -196,10 +196,7 @@ def _chain_elements(batch: ChainBatch, t: float) -> np.ndarray:
     while lo < stops.size:
         hi = max(lo + 1, int(np.searchsorted(stops, batch.first[lo] + _PACK_SITES, "right")))
         first, stop = batch.first[lo], stops[hi - 1]
-        if stop - first > 1:
-            evals, vecs = eigh_tridiagonal(batch.diag[first:stop], batch.hop[first:stop - 1])
-        else:
-            evals, vecs = batch.diag[first:stop], np.ones((1, 1))
+        evals, vecs = eigh_tridiagonal(batch.diag[first:stop], batch.hop[first:stop - 1])
         values[lo:hi] = ((vecs[batch.end[lo:hi] - first] * vecs[batch.start[lo:hi] - first])
                          @ np.exp(-1j * t * evals))
         lo = hi

@@ -38,8 +38,20 @@ def test_gap_command_writes_curve(tmp_path, capsys):
     assert any("config_sha256" in c for c in comments)
     assert any("gap_coldest_delta" in c for c in comments)
     doc = json.loads((out / "gap_solution.json").read_text())
-    assert doc["delta"] == pytest.approx(0.5, abs=1e-8)
-    assert "_provenance" in doc
+    assert doc["delta"] == 0.5
+    assert set(doc) == {"delta", "omega", "residual", "iterations", "normal_residual",
+                        "_provenance"}
+
+
+def test_gap_command_critical_current_next_to_t_c(tmp_path):
+    # E_J = 2 Delta^2 -> (3/2)(1 - T/T_c) as T -> T_c, for lambda = T_c = 1
+    beta = 1.0000000001
+    code, out = run(tmp_path, "gap", {"epsilon": 0.0, "t_c": 1.0, "betas": [beta, 2.0]})
+    assert code == 0
+    _, body = read_csv(out / "gap_curve.csv")
+    warmest = body[-1].split(",")
+    assert float(warmest[1]) == beta
+    assert float(warmest[4]) == pytest.approx(1.5 * (1.0 - 1.0 / beta), rel=1e-5)
 
 
 def test_gap_command_deterministic_output(tmp_path):

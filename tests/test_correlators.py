@@ -60,7 +60,7 @@ def test_pair_ladder_closed_form():
     table = sectors.boltzmann_table(PARAMS, n)
     s, sz, log_w = table.flat()
     expect = float(np.sum(np.exp(log_w) * np.clip(s * (s + 1) - sz * (sz + 1), 0, None)))
-    expect /= (SOL.c * n) ** 2
+    expect /= (SOL.delta * n) ** 2
     got = correlators.correlation_finite_n(PARAMS, n, word([[0.0, 1, 1]]), SOL)
     assert got == pytest.approx(expect, rel=1e-12)
 
@@ -125,19 +125,6 @@ def test_mesoscopic_prediction_vs_circle_matrices():
             vec = np.exp(1j * f.alpha * grid) * vec
         assert correlators.mesoscopic_prediction(w) == pytest.approx(
             complex(np.vdot(vac, vec)), abs=1e-12)
-
-
-def test_gauge_invariance_phase_never_enters():
-    a = gap.GapSolution(delta=SOL.delta, omega=SOL.omega, c=SOL.c, phase=0.0,
-                        converged=True, residual=0.0, iterations=1,
-                        normal_residual=0.0)
-    b = gap.GapSolution(delta=SOL.delta, omega=SOL.omega, c=SOL.c, phase=2.2,
-                        converged=True, residual=0.0, iterations=1,
-                        normal_residual=0.0)
-    w = word([[0.4, 1, 1]])
-    va = correlators.correlation_finite_n(PARAMS, 16, w, a)
-    vb = correlators.correlation_finite_n(PARAMS, 16, w, b)
-    assert va == vb
 
 
 def test_convergence_sweep_diagonal_word():
@@ -258,7 +245,7 @@ def test_convergence_sweep_reports_pruning_bound():
     sizes = [256, 512, 1024, 2048]
     sweep = correlators.convergence_sweep(params, word([[0.0, 1, 1]]), sol, sizes)
     dropped = max(sectors.boltzmann_table(params, n).discarded_bound for n in sizes)
-    assert sweep.discarded_bound == 2.0 * dropped * sol.c**-2
+    assert sweep.discarded_bound == 2.0 * dropped * sol.delta**-2
     assert 0.0 < sweep.discarded_bound < 1e-30
     # pure-phase and unbalanced words are exact without a sector sum
     for triples in ([[0.3, 0, 0]], [[0.0, 0, 1]]):

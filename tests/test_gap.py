@@ -9,25 +9,55 @@ from qfluct.fitting import fit_power_law
 
 
 def test_zero_temperature_limit():
-    sol = gap.solve_gap(0.0, 1.0, 1e3)
-    assert sol.converged
-    assert sol.delta == pytest.approx(0.5, abs=1e-8)
-    assert sol.c == sol.delta
-    assert abs(sol.residual) <= 1e-12
+    # tanh(beta T_c) rounds to 1, so omega = T_c is the root to the last bit
+    for beta in (1e3, 1e300):
+        sol = gap.solve_gap(0.0, 1.0, beta)
+        assert sol.delta == 0.5
+        assert sol.residual == 0.0
+
+
+def bisected_omega(t_c, beta):
+    """Positive root of w/t_c = tanh(beta w), bisected until the midpoint
+    stops moving."""
+    lo, hi = 1e-300, t_c  # tanh(beta w) - w/t_c is > 0 at lo, <= 0 at hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if math.tanh(beta * mid) - mid / t_c > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("t_c", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("reduced", [1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.5])
+def test_omega_is_the_root_to_rounding_up_to_t_c(t_c, reduced):
+    # the residual's slope at the root is about 2 (1 - T/T_c) / T_c, so
+    # rounding in it moves the root by about 1e-16 / (1 - T/T_c) relative
+    beta = 1.0 / (t_c * (1.0 - reduced))
+    want = bisected_omega(t_c, beta)
+    assert gap.solve_gap(0.0, t_c, beta).omega == pytest.approx(
+        want, rel=max(1e-15 / reduced, 1e-14), abs=0.0)
+
+
+@pytest.mark.parametrize("t_c", [1e-200, 1e200])
+def test_gap_is_scale_free(t_c):
+    # Delta depends on eps/T_c and beta*T_c only; omega^2 would underflow or
+    # overflow at these T_c
+    want = gap.solve_gap(0.3, 1.0, 10.0).delta
+    assert gap.solve_gap(0.3 * t_c, t_c, 10.0 / t_c).delta == pytest.approx(want, rel=1e-14)
 
 
 def test_critical_point_is_normal():
     sol = gap.solve_gap(0.0, 1.0, 1.0)
     assert sol.delta == 0.0
     assert sol.omega == 0.0
-    assert sol.converged
 
 
 def test_above_critical_is_normal():
     sol = gap.solve_gap(0.3, 1.0, 0.5)
     assert sol.delta == 0.0
     assert sol.omega == 0.3
-    assert sol.converged
 
 
 def test_near_critical_asymptotics():

@@ -144,11 +144,7 @@ def test_solver_counts_every_chain_site(monkeypatch, source, target):
     calls = counting_solver(monkeypatch)
     junction.evolution_element(PARAMS, 8, source, target, 0.7, gaps=GAPS)
     assert calls
-    solved = sum(sites for sites, _ in calls)
-    # only a one-site chain alone in its pack skips the solver
-    assert lengths.sum() - np.count_nonzero(lengths == 1) <= solved <= lengths.sum()
-    if not np.any(lengths == 1):
-        assert solved == lengths.sum()
+    assert sum(sites for sites, _ in calls) == lengths.sum()
     for sites, hops in calls:
         # a pack larger than the bound is one chain: every hop inside is live
         assert sites <= junction._PACK_SITES or hops == sites - 1
@@ -156,7 +152,7 @@ def test_solver_counts_every_chain_site(monkeypatch, source, target):
 
 def test_packs_match_chain_by_chain_exponential(monkeypatch):
     # a long chain is a pack of its own, short ones share packs, and a
-    # one-site chain may be left alone
+    # one-site chain left alone is solved like any other pack
     rng = np.random.default_rng(3)
     length = np.array([3, 200, 1, 5, 130, 1])
     first = np.cumsum(length) - length
@@ -170,7 +166,7 @@ def test_packs_match_chain_by_chain_exponential(monkeypatch):
                                 diag=diag, hop=hop, first=first, start=start, end=end)
     calls = counting_solver(monkeypatch)
     got = junction._chain_elements(batch, 0.9)
-    assert [sites for sites, _ in calls] == [3, 200, 6, 130]
+    assert [sites for sites, _ in calls] == [3, 200, 6, 130, 1]
     for c, sites in enumerate(chain_sites(batch)):
         inner = hop[sites.start:sites.stop - 1]
         h = np.diag(diag[sites]) + np.diag(inner, 1) + np.diag(inner, -1)

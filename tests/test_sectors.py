@@ -264,7 +264,7 @@ def test_pruned_table_matches_unpruned_sum(n, epsilon, beta):
     got, want = [], []
     for triples in PRUNING_WORDS:
         w = correlators.FluctuationWord.from_triples(triples)
-        scale = (sol.c * n) ** -(w.total_m + w.total_n)
+        scale = (sol.delta * n) ** -(w.total_m + w.total_n)
         got.append(correlators.correlation_finite_n(params, n, w, sol))
         want.append(np.exp(1j * w.phase()) * np.sum(weight * _walk(s, sz, triples)) * scale)
     got.append(correlators.w_expectation(params, n, 2, 0.7))
@@ -274,7 +274,7 @@ def test_pruned_table_matches_unpruned_sum(n, epsilon, beta):
     got.append(correlators.single_layer_evolution_element(params, n, 1, 1, 0.9, sol))
     d_eta = -2.0 * epsilon + (2.0 / n) * ((sz + 1) * sz - sz * (sz - 1.0))
     want.append(np.exp(-0.54j) * np.sum(weight * _walk(s, sz, [[0.0, 0, 1]]) ** 2
-                                        * np.exp(-0.9j * d_eta)) / (sol.c * n) ** 2)
+                                        * np.exp(-0.9j * d_eta)) / (sol.delta * n) ** 2)
     for a, b in zip(got, want):
         assert abs(a - b) <= 1e-12 * abs(b)
 
