@@ -93,7 +93,8 @@ class FluctuationWord:
         running = 0.0
         for f in self.factors:
             running += f.alpha
-            acc += running * (f.m - f.n)
+            if f.m != f.n:  # a balanced factor adds none, even past float range
+                acc += running * (f.m - f.n)
         return acc
 
     def to_triples(self):
@@ -145,26 +146,26 @@ def correlation_finite_n(params: ModelParams, n_spins: int, word: FluctuationWor
                          gap: GapSolution) -> complex:
     """Exact thermal-vacuum expectation of a fluctuation word at size N.
 
-    Unbalanced words (total raising != total lowering) vanish identically by
-    orthogonality of the magnetic quantum numbers; the zero is asserted
-    rather than computed so that floating-point dust is never reported as
-    signal.
+    The word's shape is its large-N value: unbalanced words (total raising
+    != total lowering) vanish identically by orthogonality of the magnetic
+    quantum numbers, and pure-phase words are exactly 1 because ``p``
+    annihilates the thermal vacuum.  Both are returned without a sector sum,
+    so floating-point dust is never reported as signal; any other word is
+    its phase times the sector sum of its ladder walk.
     """
     check_spin_count(n_spins)
     c = _require_gap(gap)
 
+    prediction = mesoscopic_prediction(word)
     total = word.total_m + word.total_n
-    if total == 0:
-        # p annihilates the thermal vacuum, so pure-phase words are exactly 1
-        return 1.0 + 0.0j
-    if word.total_m != word.total_n:
-        return 0.0j
+    if prediction == 0 or total == 0:
+        return prediction
 
     s, sz, log_w = thermal_table(params, n_spins).flat()
     log_amp, alive = _ladder_walk(s, sz, word)
     log_scale = total * math.log(c * n_spins)
     terms = np.where(alive, np.exp(log_w + log_amp - log_scale), 0.0)
-    return cmath.exp(1j * word.phase()) * float(np.sum(terms))
+    return prediction * float(np.sum(terms))
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,7 @@ def convergence_sweep(params: ModelParams, word: FluctuationWord, gap: GapSoluti
     target = mesoscopic_prediction(word)
 
     steps = word.total_m + word.total_n
-    walks = steps > 0 and word.total_m == word.total_n
+    walks = steps > 0 and target != 0  # the words correlation_finite_n walks
     values, dropped = [], 0.0
     for n in n_list:
         values.append(correlation_finite_n(params, n, word, gap))
@@ -216,11 +217,8 @@ def convergence_sweep(params: ModelParams, word: FluctuationWord, gap: GapSoluti
 
     errors = [abs(v - target) for v in values]
     fit = None
-    positive = [e for e in errors if e > 0]
-    if len(positive) >= MIN_POINTS:
-        fit = fit_power_law(
-            [n for n, e in zip(n_list, errors) if e > 0], positive
-        )
+    if sum(e > 0 for e in errors) >= MIN_POINTS:
+        fit = fit_power_law(n_list, errors)
     return ConvergenceResult(
         word=word, prediction=target, n_values=tuple(n_list),
         values=tuple(values), abs_errors=tuple(errors), fit=fit, discarded_bound=bound,

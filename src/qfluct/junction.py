@@ -10,11 +10,12 @@ hops ``(a, b) -> (a+1, b-1)``, so the block further decomposes into
 tridiagonal chains of fixed ``a + b`` (total charge is conserved).  Matrix
 elements of the propagator between charge-transfer states are therefore
 exact sums over chains of small tridiagonal problems, built in one batch
-per left sector.  A batch's chains are laid end to end (a chain's last hop
-is exactly zero, so the solver splits them apart again) and solved in packs
-of whole chains, one ``eigh_tridiagonal`` per pack of at most 128 sites
-(a longer chain is a pack of its own).  Nothing global is ever
-materialized: a pack's eigenvectors take at most 128^2 doubles.
+per left table entry ``(s_L, sz_L0)``.  A batch's chains are laid end to
+end (a chain's last hop is exactly zero, so the solver splits them apart
+again) and solved in packs of whole chains, one ``eigh_tridiagonal`` per
+pack of at most 128 sites (a longer chain is a pack of its own).  Nothing
+global is ever materialized: a pack's eigenvectors take at most 128^2
+doubles.
 
 Energy scales: hopping enters as ``lambda / N^2`` (tunneling is a surface
 effect), and the large-N coupling of the relative phase is
@@ -108,15 +109,15 @@ class TransitionElement:
 
 @dataclass(frozen=True)
 class ChainBatch:
-    """The fixed-charge chains of one left sector ``s_l`` against every
-    contributing right sector ``s_r``, laid end to end.
+    """The fixed-charge chains of one left table entry ``(s_l, sz_l0)``
+    against every contributing right entry ``(s_r, sz_r0)``, laid end to end.
 
     Site ``i`` holds the system labels ``(a[i], b[i])``; chain ``c`` starts at
     site ``first[c]``, ``a`` ascending and ``a + b`` fixed.  ``hop[i]`` joins
     sites ``i`` and ``i + 1``, exactly zero out of a chain's last site (there
     ``a = s_l`` or ``b = -s_r``).  ``start`` and ``end`` are the sites of the
     source and target labels, and ``weight`` is the thermal weight of the
-    sector pair times the ladder amplitudes and normalizations."""
+    entry pair times the ladder amplitudes and normalizations."""
 
     s_l: float
     s_r: np.ndarray
@@ -131,10 +132,10 @@ class ChainBatch:
 
 
 def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=None):
-    """Yield one ``ChainBatch`` per left sector that both charge states reach,
-    chains end to end.  Diagonal: layer spectra relative to the commutant
-    labels plus the charging term; hops: the tunneling ladder products scaled
-    by lambda / N^2."""
+    """Yield one ``ChainBatch`` per left table entry that both charge states
+    reach, chains end to end.  Diagonal: layer spectra relative to the
+    commutant labels plus the charging term; hops: the tunneling ladder
+    products scaled by lambda / N^2."""
     gl, gr = _resolve_gaps(params, gaps)
     pl, pr = params.left, params.right
     (n_l, n_r), (n_lp, n_rp) = source, target
@@ -210,10 +211,10 @@ def evolution_element(params: JunctionParams, n_spins: int, source, target,
 
     Total charge is conserved exactly: elements with
     ``n_L + n_R != n_L' + n_R'`` vanish identically and are returned as 0
-    without touching the blocks.  Each left-sector batch is solved in packs
-    of whole chains, at most ``_PACK_SITES`` sites and one eigenvector
-    block of at most 128^2 doubles at a time, and its weighted chain
-    elements are added by one dot product.
+    without touching the blocks.  Each batch, one per left table entry, is
+    solved in packs of whole chains, at most ``_PACK_SITES`` sites and one
+    eigenvector block of at most 128^2 doubles at a time, and its weighted
+    chain elements are added by one dot product.
     """
     check_spin_count(n_spins)
     source, target = _charge_labels(source, target)
@@ -312,9 +313,10 @@ def dyson_junction(params: JunctionParams, n_spins: int, t: float, order: int,
     ``D_K(t) U_0(t)``, tunneling as the perturbation.
 
     Each chain carries its Dyson terms from the source to the target
-    site: the shared chain recursion runs once per left-sector batch, all
-    target sites seeded in one column (the chains are disjoint), and ``U_0``
-    contributes the free and charging phase of the source.
+    site: the shared chain recursion runs once per batch (one per left
+    table entry), all target sites seeded in one column (the chains are
+    disjoint), and ``U_0`` contributes the free and charging phase of the
+    source.
     """
     check_spin_count(n_spins)
     if order < 0:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import ParameterError, ParityError, require_finite
 
@@ -196,9 +196,6 @@ class SectorTable:
                 n_spins=self.n_spins, s=int(s), log_degeneracy=float(log_d_s), sz=sz,
                 eta=level, log_rho=-self.params.beta * level - self.log_partition))
         return tuple(rows)
-
-    def normalization(self) -> float:
-        return float(np.exp(logsumexp(self.log_w)))
 
 
 def boltzmann_table(params: ModelParams, n_spins: int) -> SectorTable:

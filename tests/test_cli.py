@@ -172,7 +172,7 @@ def test_junction_command(tmp_path):
     assert manifest["gap_solutions"]["left"]["delta"] > 0
     assert manifest["trend"][0]["non_increasing_after_first"] in (True, False)
     _, dyson_body = read_csv(out / "dyson_report.csv")
-    assert dyson_body[0] == "N,K,t,bound,measured_max_abs_dev"
+    assert dyson_body[0] == "N,K,t,bound,measured_max_abs_dev,resolution"
     row = dyson_body[1].split(",")
     assert float(row[4]) <= float(row[3])
 
@@ -184,6 +184,19 @@ def test_junction_dyson_order_past_float_factorial(tmp_path):
     _, dyson_body = read_csv(out / "dyson_report.csv")
     row = dyson_body[1].split(",")
     assert row[1] == "170" and float(row[3]) == 0.0
+
+
+@pytest.mark.parametrize("order", [2, 15, 40])
+def test_junction_dyson_deviation_levels_off_at_resolution(tmp_path, order):
+    # the deviation follows the factorial bound down to rounding and levels
+    # off there, above the bound at high order but within the resolution
+    code, out = run(tmp_path, "junction", {**JUNCTION, "dyson_order": order})
+    assert code == 0
+    _, dyson_body = read_csv(out / "dyson_report.csv")
+    row = dict(zip(dyson_body[0].split(","), map(float, dyson_body[1].split(","))))
+    assert row["measured_max_abs_dev"] <= max(row["bound"], row["resolution"])
+    if order == 40:
+        assert row["measured_max_abs_dev"] > row["bound"]
 
 
 def test_junction_normal_phase_exit(tmp_path):
@@ -370,10 +383,26 @@ def test_rejected_flags_exit_2(argv, capsys):
     assert exc.value.code == 2
 
 
+SELFTEST_CHECKS = [
+    "sector spectrum vs dense (N=2)", "multiplicities vs Casimir count (N=2)",
+    "sector spectrum vs dense (N=4)", "multiplicities vs Casimir count (N=4)",
+    "sector spectrum vs dense (N=6)", "multiplicities vs Casimir count (N=6)",
+    "dimension sum rule (N<=40)",
+    "correlators vs dense (N=2)", "evolution elements vs dense (N=2)",
+    "dephasing expectation vs dense (N=2)",
+    "correlators vs dense (N=4)", "evolution elements vs dense (N=4)",
+    "dephasing expectation vs dense (N=4)",
+    "junction elements vs dense (N=2)",
+]
+
+
 def test_selftest_passes(capsys):
     assert cli.main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+    lines = capsys.readouterr().out.splitlines()
+    # one PASS line per check, in a fixed order, then the verdict
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        f"PASS  {name}" for name in SELFTEST_CHECKS]
+    assert lines[-1] == "selftest: all checks passed"
 
 
 def test_selftest_tolerance_override(monkeypatch, capsys):

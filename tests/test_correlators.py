@@ -35,6 +35,10 @@ def test_empty_and_pure_phase_words_are_exactly_one():
     assert correlators.correlation_finite_n(PARAMS, 8, word([]), SOL) == 1.0 + 0j
     pure = word([[0.3, 0, 0], [-0.7, 0, 0]])
     assert correlators.correlation_finite_n(PARAMS, 8, pure, SOL) == 1.0 + 0j
+    # the running alpha overflows to inf, but balanced factors add no phase
+    huge = word([[1e308, 0, 0], [1e308, 0, 0]])
+    assert correlators.mesoscopic_prediction(huge) == 1.0 + 0j
+    assert correlators.correlation_finite_n(PARAMS, 8, huge, SOL) == 1.0 + 0j
 
 
 def test_unbalanced_words_vanish_exactly():

@@ -1,7 +1,7 @@
 """README.md as a test: its example configs run verbatim, write the files
-it lists and write them byte-identically when run again, its usage lines
-name only flags the CLI accepts, and its config key list is the CLI's key
-table."""
+it lists, with the top-level keys it lists for each JSON file, and write
+them byte-identically when run again, its usage lines name only flags the
+CLI accepts, and its config key list is the CLI's key table."""
 
 import json
 import re
@@ -16,9 +16,10 @@ README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 
 def _examples():
-    """``{command: (config, [output file names])}`` from the jsonc block: a
-    ``// <command>.json:`` line opens an example, the JSON lines below it are
-    its config, and the ``// ->`` comment lines list its output files."""
+    """``{command: (config, [output file names], {JSON file name: [keys]})}``
+    from the jsonc block: a ``// <command>.json:`` line opens an example, the
+    JSON lines below it are its config, and the ``// ->`` comment lines list
+    its output files, each JSON file followed by its keys in parentheses."""
     examples = {}
     block = re.search(r"```jsonc\n(.*?)```", README, re.S).group(1)
     for chunk in re.split(r"^// (?=\w+\.json:)", block, flags=re.M)[1:]:
@@ -26,7 +27,9 @@ def _examples():
         lines = chunk.splitlines()[1:]
         config = json.loads("".join(l for l in lines if not l.startswith("//")))
         notes = " ".join(l for l in lines if l.startswith("//"))
-        examples[command] = (config, re.findall(r"[\w{}]+\.(?:csv|json)", notes))
+        keys = {name: listed.split(", ")
+                for name, listed in re.findall(r"(\w+\.json)[\s/]*\(([^)]*)\)", notes)}
+        examples[command] = (config, re.findall(r"[\w{}]+\.(?:csv|json)", notes), keys)
     return examples
 
 
@@ -35,7 +38,7 @@ EXAMPLES = _examples()
 
 @pytest.mark.parametrize("command", ["gap", "converge", "circle", "junction"])
 def test_readme_example_config_runs(tmp_path, command):
-    config, outputs = EXAMPLES[command]
+    config, outputs, json_keys = EXAMPLES[command]
     cfg_path = tmp_path / f"{command}.json"
     cfg_path.write_text(json.dumps(config))
     runs = [tmp_path / "first", tmp_path / "second"]
@@ -46,6 +49,10 @@ def test_readme_example_config_runs(tmp_path, command):
     assert want and {p.name for p in runs[0].iterdir()} == want
     for name in want:  # identical configs give byte-identical files
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+    assert set(json_keys) == {name for name in want if name.endswith(".json")}
+    for name, keys in json_keys.items():
+        payload = json.loads((runs[0] / name).read_text())
+        assert sorted(set(payload) - {"_provenance"}) == sorted(keys), name
 
 
 def test_readme_usage_lines_parse():

@@ -95,7 +95,7 @@ def test_boltzmann_two_spin_closed_form():
 def test_boltzmann_normalization(n, beta):
     params = sectors.ModelParams(epsilon=0.4, t_c=1.0, beta=beta)
     table = sectors.boltzmann_table(params, n)
-    assert table.normalization() == pytest.approx(1.0, rel=1e-12)
+    assert np.exp(logsumexp(table.log_w)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_boltzmann_no_overflow_at_extreme_beta():
@@ -103,7 +103,7 @@ def test_boltzmann_no_overflow_at_extreme_beta():
     table = sectors.boltzmann_table(params, 128)
     _, _, log_w = table.flat()
     assert np.all(np.isfinite(log_w) | (log_w == -np.inf))
-    assert table.normalization() == pytest.approx(1.0, rel=1e-12)
+    assert np.exp(logsumexp(table.log_w)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_boltzmann_rejects_odd_n():
@@ -159,7 +159,7 @@ def test_finite_n_entry_points_reject_bad_spin_counts(call, n):
     for n in (4096, 16384, 65536) if (eps, beta, n) != (0.4, 1.2, 65536)])
 def test_normalization_exact_at_large_n(epsilon, beta, n):
     table = sectors.boltzmann_table(sectors.ModelParams(epsilon, 1.0, beta), n)
-    assert abs(table.normalization() - 1.0) <= 1e-14
+    assert abs(np.exp(logsumexp(table.log_w)) - 1.0) <= 1e-14
 
 
 def test_table_independent_of_mu():
