@@ -88,13 +88,15 @@ class FluctuationWord:
 
     def phase(self) -> float:
         """Exact phase produced by commuting all ``exp(i alpha p)`` factors to
-        the right: ``sum_j (alpha_1 + ... + alpha_j) (m_j - n_j)``."""
+        the right: ``sum_j (alpha_1 + ... + alpha_j) (m_j - n_j)``, summed as
+        ``sum_j alpha_j (net steps of factors j, j+1, ...)`` so that no
+        partial sum of the alphas leaves float range."""
         acc = 0.0
-        running = 0.0
-        for f in self.factors:
-            running += f.alpha
-            if f.m != f.n:  # a balanced factor adds none, even past float range
-                acc += running * (f.m - f.n)
+        net = 0
+        for f in reversed(self.factors):
+            net += f.m - f.n
+            if net:  # a balanced tail adds none, even for an alpha past float range
+                acc += f.alpha * net
         return acc
 
     def to_triples(self):
@@ -180,7 +182,6 @@ class ConvergenceResult:
     without a sector sum or no entry was dropped, and inf past float range.
     """
 
-    word: FluctuationWord
     prediction: complex
     n_values: tuple
     values: tuple
@@ -220,7 +221,7 @@ def convergence_sweep(params: ModelParams, word: FluctuationWord, gap: GapSoluti
     if sum(e > 0 for e in errors) >= MIN_POINTS:
         fit = fit_power_law(n_list, errors)
     return ConvergenceResult(
-        word=word, prediction=target, n_values=tuple(n_list),
+        prediction=target, n_values=tuple(n_list),
         values=tuple(values), abs_errors=tuple(errors), fit=fit, discarded_bound=bound,
     )
 

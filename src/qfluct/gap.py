@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, SolverError, require_finite
+from .errors import ParameterError, SolverError
+from .sectors import ModelParams
 
 __all__ = [
     "GapSolution",
@@ -62,11 +63,7 @@ def solve_gap(epsilon: float, t_c: float, beta: float) -> GapSolution:
     residual is not positive or a step would not decrease w inside (0, w):
     that is the root to rounding.
     """
-    require_finite(epsilon=epsilon, t_c=t_c, beta=beta)
-    if t_c <= 0 or beta <= 0 or epsilon < 0:
-        raise ParameterError(
-            f"need t_c > 0, beta > 0, epsilon >= 0; got {t_c}, {beta}, {epsilon}"
-        )
+    ModelParams(epsilon, t_c, beta)  # the one layer-parameter check
 
     normal_residual = epsilon / t_c - math.tanh(beta * epsilon)
 

@@ -7,7 +7,8 @@ both layers' spin sectors and the frozen commutant magnetic labels
 ``(s_L, sz_L0, s_R, sz_R0)``.  Inside a block the free part and the charging
 term are diagonal on the grid of system labels ``(a, b)`` while tunneling
 hops ``(a, b) -> (a+1, b-1)``, so the block further decomposes into
-tridiagonal chains of fixed ``a + b`` (total charge is conserved).  Matrix
+tridiagonal chains of fixed ``a + b`` (total charge is conserved, so an
+element that changes it has no chain and is exactly zero).  Matrix
 elements of the propagator between charge-transfer states are therefore
 exact sums over chains of small tridiagonal problems, built in one batch
 per left table entry ``(s_L, sz_L0)``.  A batch's chains are laid end to
@@ -66,12 +67,11 @@ class JunctionParams:
     beta: float
 
     def __post_init__(self):
-        require_finite(lam=self.lam, e_c=self.e_c, n_g=self.n_g, beta=self.beta)
-        if self.beta <= 0:
-            raise ParameterError(f"beta must be positive, got {self.beta}")
+        require_finite(lam=self.lam, e_c=self.e_c, n_g=self.n_g)
         if self.e_c < 0:
             raise ParameterError("e_c must be non-negative")
         for side, layer in (("left", self.left), ("right", self.right)):
+            # a layer's beta is finite and positive, so this rejects any other
             if layer.beta != self.beta:
                 raise ParameterError(f"{side} layer beta {layer.beta} differs from "
                                      f"the junction beta {self.beta}")
@@ -135,10 +135,13 @@ def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=Non
     """Yield one ``ChainBatch`` per left table entry that both charge states
     reach, chains end to end.  Diagonal: layer spectra relative to the
     commutant labels plus the charging term; hops: the tunneling ladder
-    products scaled by lambda / N^2."""
+    products scaled by lambda / N^2.  Total charge is conserved exactly: an
+    element with ``n_L + n_R != n_L' + n_R'`` has no chain and yields none."""
+    (n_l, n_r), (n_lp, n_rp) = source, target
+    if n_l + n_r != n_lp + n_rp:
+        return
     gl, gr = _resolve_gaps(params, gaps)
     pl, pr = params.left, params.right
-    (n_l, n_r), (n_lp, n_rp) = source, target
     log_norm = ((abs(n_l) + abs(n_lp)) * math.log(gl.delta * n_spins)
                 + (abs(n_r) + abs(n_rp)) * math.log(gr.delta * n_spins))
 
@@ -209,18 +212,14 @@ def evolution_element(params: JunctionParams, n_spins: int, source, target,
     """Exact propagator matrix element between charge-transfer states,
     ``<target| exp(-i t H) |source>`` with the full block Hamiltonian.
 
-    Total charge is conserved exactly: elements with
-    ``n_L + n_R != n_L' + n_R'`` vanish identically and are returned as 0
-    without touching the blocks.  Each batch, one per left table entry, is
+    A charge-violating element has no chains (``chain_batches`` yields
+    none), so it is exactly 0.  Each batch, one per left table entry, is
     solved in packs of whole chains, at most ``_PACK_SITES`` sites and one
     eigenvector block of at most 128^2 doubles at a time, and its weighted
     chain elements are added by one dot product.
     """
     check_spin_count(n_spins)
     source, target = _charge_labels(source, target)
-    if sum(source) != sum(target):
-        return TransitionElement(source, target, t, 0j)
-
     total = 0j
     for batch in chain_batches(params, n_spins, source, target, gaps):
         total += complex(np.dot(batch.weight, _chain_elements(batch, t)))
@@ -276,7 +275,6 @@ class MesoCompareRow:
     source: tuple
     target: tuple
     circle_value: complex
-    n_values: tuple
     finite_values: tuple
     abs_errors: tuple
     non_increasing_after_first: bool
@@ -300,9 +298,8 @@ def meso_compare(params: JunctionParams, n_list, elements, t: float,
         ratio = errors[-1] / errors[0] if errors and errors[0] > 0 else 0.0
         rows.append(MesoCompareRow(
             source=tuple(source), target=tuple(target), circle_value=circle_value,
-            n_values=tuple(int(n) for n in n_list), finite_values=tuple(finite),
-            abs_errors=tuple(errors), non_increasing_after_first=non_increasing,
-            final_over_initial=ratio,
+            finite_values=tuple(finite), abs_errors=tuple(errors),
+            non_increasing_after_first=non_increasing, final_over_initial=ratio,
         ))
     return rows
 
@@ -327,12 +324,11 @@ def dyson_junction(params: JunctionParams, n_spins: int, t: float, order: int,
     for source, target in elements:
         source, target = _charge_labels(source, target)
         total = 0j
-        if sum(source) == sum(target):
-            for batch in chain_batches(params, n_spins, source, target, gaps):
-                u0 = np.exp(-1j * t * batch.diag[batch.start])
-                seed = np.isin(np.arange(batch.diag.size), batch.end)[:, None]
-                terms = chain_dyson(batch.diag, batch.hop, batch.start, seed, t, order)
-                total += complex(np.sum(batch.weight * u0 * terms[:, 0]))
+        for batch in chain_batches(params, n_spins, source, target, gaps):
+            u0 = np.exp(-1j * t * batch.diag[batch.start])
+            seed = np.isin(np.arange(batch.diag.size), batch.end)[:, None]
+            terms = chain_dyson(batch.diag, batch.hop, batch.start, seed, t, order)
+            total += complex(np.sum(batch.weight * u0 * terms[:, 0]))
         results[(source, target)] = total
     return results
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qfluct import circle, cli, correlators, gap, junction
+from qfluct import circle, cli, correlators, gap, junction, quadrature
 from qfluct.errors import NumericalError
 
 
@@ -160,7 +160,7 @@ def test_junction_command(tmp_path):
                      "right": {"epsilon": 0.0, "t_c": 1.0},
                      "beta": 2.0, "lambda": 1.0, "e_c": 0.4, "time": 0.3,
                      "n_list": [4, 8], "elements": [[0, 0, 1, -1], [0, 0, 1, 1]],
-                     "dyson_order": 1, "dyson_n": 4})
+                     "dyson_order": 1})
     assert code == 0
     _, body = read_csv(out / "elements_N4.csv")
     assert body[0] == "nL,nR,nLp,nRp,t,re,im,abs_err_vs_meso"
@@ -199,6 +199,22 @@ def test_junction_dyson_deviation_levels_off_at_resolution(tmp_path, order):
         assert row["measured_max_abs_dev"] > row["bound"]
 
 
+def test_junction_dyson_report_runs_at_the_smallest_n(tmp_path):
+    # the resolution is _TOL * max(1, |U|) over the exact elements at the
+    # smallest N of the sweep, which need not be the first one listed
+    code, out = run(tmp_path, "junction", {**JUNCTION, "n_list": [8, 4], "dyson_order": 1,
+                                           "elements": [[1, -1, 1, -1], [0, 0, 1, -1]]})
+    assert code == 0
+    _, body = read_csv(out / "elements_N4.csv")
+    rows = [dict(zip(body[0].split(","), line.split(","))) for line in body[1:]]
+    largest = max(abs(complex(float(c["re"]), float(c["im"]))) for c in rows)
+    assert largest > 1.0
+    _, dyson_body = read_csv(out / "dyson_report.csv")
+    row = dict(zip(dyson_body[0].split(","), dyson_body[1].split(",")))
+    assert row["N"] == "4"
+    assert float(row["resolution"]) == quadrature._TOL * largest
+
+
 def test_junction_normal_phase_exit(tmp_path):
     code, _ = run(tmp_path, "junction",
                   {"left": {"epsilon": 0.0, "t_c": 1.0},
@@ -227,8 +243,9 @@ CONVERGE = {"epsilon": 0.0, "t_c": 1.0, "beta": 2.0}
     ("circle", {**CIRCLE, "n_max": 10**400}),
     ("junction", {**JUNCTION, "dyson_order": 10**400}),
     ("converge", {**CONVERGE, "n_list": [2**62]}),
-    ("junction", {**JUNCTION, "dyson_n": 2**62}),
-    ("junction", {**JUNCTION, "dyson_n": 3}),
+    ("junction", {**JUNCTION, "n_list": [2**62]}),
+    ("junction", {**JUNCTION, "n_list": [3]}),
+    ("junction", {**JUNCTION, "dyson_n": 4}),
     ("junction", {**JUNCTION, "dyson_order": -1}),
     ("junction", {**JUNCTION, "elements": [[0, 0, 25, -25]]}),
     ("converge", {**CONVERGE, "mu": 0.1}),
@@ -238,7 +255,8 @@ CONVERGE = {"epsilon": 0.0, "t_c": 1.0, "beta": 2.0}
         "converge-empty-n-list", "circle-zero-levels", "junction-fractional-n",
         "junction-fractional-element", "converge-huge-n", "converge-huge-w-power",
         "circle-huge-n-max", "junction-huge-dyson-order", "converge-n-past-cap",
-        "junction-dyson-n-past-cap", "junction-odd-dyson-n", "junction-negative-dyson-order",
+        "junction-dyson-n-past-cap", "junction-odd-dyson-n", "junction-dyson-n",
+        "junction-negative-dyson-order",
         "junction-element-past-circle-window", "converge-mu", "junction-layer-mu",
         "circle-charge-offset"])
 def test_malformed_config_is_config_error(tmp_path, capsys, command, config):
@@ -268,7 +286,7 @@ ALTERNATES = {
                  "left.epsilon": 0.1, "left.t_c": 1.1, "right.epsilon": 0.1,
                  "right.t_c": 1.1, "beta": 2.5, "lambda": 0.6, "e_c": 0.5, "n_g": 0.2,
                  "time": 0.4, "n_list": [2, 6], "elements": [[0, 0, 0, 0]],
-                 "dyson_order": 2, "dyson_n": 4},
+                 "dyson_order": 2},
 }
 
 

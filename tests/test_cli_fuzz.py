@@ -22,7 +22,7 @@ POOL = [math.nan, math.inf, -math.inf, None, True, False, "x", "", [], {},
 # allocates a 2e5-square dense matrix.
 SIZE_POOL = [v for v in POOL if v is not BIG] + [
     [-4, 0, 4, 8], [2, 3], [4, 2.5], [4, None], [2, 4, 6, 8], [4, 8]]
-SIZE_KEYS = {"n_list", "n_max", "dyson_n", "dyson_order", "levels",
+SIZE_KEYS = {"n_list", "n_max", "dyson_order", "levels",
              "dispersion_points", "phase_points"}
 # word powers and charge labels are walk lengths; a walk stops once it has
 # left [-s, s], so huge ones cost no more than small ones
@@ -41,7 +41,7 @@ VALID = {
                "dispersion_points": 2, "phase_points": 2, "packet_width": 0.8},
     "junction": {"left": dict(LAYER), "right": dict(LAYER), "beta": 2.0, "lambda": 0.5,
                  "e_c": 0.4, "n_g": 0.1, "time": 0.3, "n_list": [2, 4],
-                 "elements": [[0, 0, 1, -1]], "dyson_order": 1, "dyson_n": 2},
+                 "elements": [[0, 0, 1, -1]], "dyson_order": 1},
 }
 
 

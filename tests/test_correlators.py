@@ -41,6 +41,16 @@ def test_empty_and_pure_phase_words_are_exactly_one():
     assert correlators.correlation_finite_n(PARAMS, 8, huge, SOL) == 1.0 + 0j
 
 
+def test_phase_is_finite_when_the_alphas_sum_past_float_range():
+    # sum_j (alpha_1 + ... + alpha_j)(m_j - n_j) = 2e308 * (-1) + 2e308 * 1 = 0,
+    # though the running alpha is already inf at the unbalanced factors
+    huge = word([[1e308, 0, 0], [1e308, 1, 0], [0.0, 0, 1]])
+    assert huge.phase() == 0.0
+    pair = correlators.correlation_finite_n(PARAMS, 8, word([[0.0, 1, 1]]), SOL)
+    assert correlators.correlation_finite_n(PARAMS, 8, huge, SOL) == pytest.approx(
+        pair, rel=1e-12)
+
+
 def test_unbalanced_words_vanish_exactly():
     w = word([[0.0, 0, 1]])
     assert correlators.correlation_finite_n(PARAMS, 8, w, SOL) == 0j

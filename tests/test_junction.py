@@ -188,8 +188,11 @@ def test_element_at_time_zero():
 
 
 def test_charge_violating_elements_vanish_exactly():
+    assert list(junction.chain_batches(PARAMS, 4, (0, 0), (1, 1), gaps=GAPS)) == []
     el = junction.evolution_element(PARAMS, 4, (0, 0), (1, 1), 0.9, gaps=GAPS)
     assert el.value == 0j
+    assert junction.dyson_junction(PARAMS, 4, 0.9, 2, [((0, 0), (1, 1))],
+                                   gaps=GAPS) == {((0, 0), (1, 1)): 0j}
     oracle = dense_oracle()
     assert abs(oracle.element((0, 0), (1, 1), 0.9)) < 1e-12
     assert junction.circle_element(PARAMS, (0, 0), (1, 1), 0.9, gaps=GAPS) == 0j
