@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh
 
 from .errors import ParameterError, TruncationError, require_finite
 from .quadrature import _dyson_bound, chain_dyson

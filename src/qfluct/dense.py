@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh
 
 from .correlators import FluctuationWord
 from .gap import GapSolution

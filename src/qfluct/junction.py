@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .circle import ChargeBasisTruncation, CircuitParams, propagator
 from .errors import NormalPhaseError, ParameterError, TruncationError, require_finite
@@ -49,6 +48,7 @@ __all__ = [
     "MesoCompareRow",
     "dyson_junction",
     "dyson_junction_defect",
+    "eigh_tridiagonal",
 ]
 
 
@@ -183,6 +183,14 @@ def _charge_labels(source, target):
 
 # most sites of one tridiagonal solve, unless a single chain is longer
 _PACK_SITES = 128
+
+
+def eigh_tridiagonal(d, e):
+    """Eigenvalues and eigenvectors of the real symmetric tridiagonal matrix
+    with diagonal ``d`` and off-diagonal ``e``: scipy's solver, imported on
+    the first call, so that ``import qfluct`` loads numpy only."""
+    from scipy.linalg import eigh_tridiagonal as solve
+    return solve(d, e)
 
 
 def _chain_elements(batch: ChainBatch, t: float) -> np.ndarray:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ParameterError, ParityError, require_finite
 
@@ -111,12 +110,20 @@ def multiplicity(n_spins: int, s) -> int:
     return d
 
 
+_LGAMMA = np.frompyfunc(math.lgamma, 1, 1)
+
+
+def _lgamma(x) -> np.ndarray:
+    """``math.lgamma`` elementwise, as a float array."""
+    return np.asarray(_LGAMMA(x), dtype=float)
+
+
 def log_multiplicity(n_spins: int, s):
     """``log d(s)``, safe for spin counts where ``d(s)`` overflows floats.
     ``s`` broadcasts as an array; a scalar label gives a float."""
     _check_spin(n_spins, s)
     k = (n_spins - np.rint(2 * np.asarray(s, dtype=float))) // 2
-    log_c = gammaln(n_spins + 1) - gammaln(k + 1) - gammaln(n_spins - k + 1)
+    log_c = math.lgamma(n_spins + 1) - _lgamma(k + 1) - _lgamma(n_spins - k + 1)
     # C(N, k-1)/C(N, k) = k/(N-k+1) < 1, so log1p is well defined (0 at k = 0)
     log_c = log_c + np.log1p(-k / (n_spins - k + 1))
     return float(log_c) if log_c.ndim == 0 else log_c

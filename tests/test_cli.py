@@ -352,6 +352,41 @@ def run_child(tmp_path, command, config):
     return proc, out
 
 
+_SCIPY_PROBE = """
+import json, sys
+import qfluct, qfluct.cli
+from qfluct import junction
+codes = [qfluct.cli.main([cmd, "--config", cfg, "--out", out])
+         for cmd, cfg, out in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+junction.eigh_tridiagonal([0.0, 1.0], [0.5])
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "after_solve": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_numpy_only_commands_never_import_scipy(tmp_path):
+    # scipy serves only the junction's tridiagonal solver, imported on its
+    # first call; the probe's own solve shows that the check would see it
+    runs = []
+    for command, config in [("gap", {"epsilon": 0.0, "t_c": 1.0, "betas": [2.0, 4.0]}),
+                            ("converge", {**CONVERGE, "n_list": [8, 16, 32]}),
+                            ("circle", CIRCLE)]:
+        cfg_path = tmp_path / f"{command}.json"
+        cfg_path.write_text(json.dumps(config))
+        runs.append((command, str(cfg_path), str(tmp_path / command)))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0]
+    assert report["loaded"] == []
+    assert report["after_solve"]
+
+
 def test_long_pair_word_reports_zero_bound(tmp_path):
     # 600 raise-lower pairs: (1/c)^1200 is past float range, but no table
     # up to N = 32 drops an entry, so the bound is exactly 0

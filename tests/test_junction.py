@@ -198,6 +198,31 @@ def test_charge_violating_elements_vanish_exactly():
     assert junction.circle_element(PARAMS, (0, 0), (1, 1), 0.9, gaps=GAPS) == 0j
 
 
+EQUAL_LAYERS = junction.JunctionParams(
+    left=sectors.ModelParams(epsilon=0.0, t_c=1.0, beta=2.0),
+    right=sectors.ModelParams(epsilon=0.0, t_c=1.0, beta=2.0),
+    lam=1.0, e_c=0.5, n_g=0.25, beta=2.0,
+)
+
+
+@pytest.mark.parametrize("params", [EQUAL_LAYERS, PARAMS], ids=["equal", "unequal"])
+@pytest.mark.parametrize("n_spins", [4, 8, 16, 32])
+def test_first_order_coefficient_is_two_pair_correlators(params, n_spins):
+    # the element (0,0) -> (1,-1) is -iSt + O(t^2): each start-site hop is
+    # lambda/N^2 times one left and one right ladder factor, and the pair
+    # weights factor the same way, so S is a product of one-layer words
+    gaps = junction.layer_gaps(params)
+    s = sum(float(np.dot(batch.weight, batch.hop[batch.start])) for batch in
+            junction.chain_batches(params, n_spins, (0, 0), (1, -1), gaps=gaps))
+    lower_raise = correlators.FluctuationWord.from_triples([[0.0, 1, 1]])
+    raise_lower = correlators.FluctuationWord.from_triples([[0.0, 0, 1], [0.0, 1, 0]])
+    want = (params.lam * gaps[0].delta * gaps[1].delta
+            * correlators.correlation_finite_n(params.left, n_spins, lower_raise, gaps[0])
+            * correlators.correlation_finite_n(params.right, n_spins, raise_lower, gaps[1]))
+    assert want.imag == 0.0
+    assert abs(s - want.real) <= 1e-14 * abs(want.real)
+
+
 def test_relabel_symmetry():
     swapped = junction.JunctionParams(
         left=PARAMS.right, right=PARAMS.left, lam=PARAMS.lam, e_c=PARAMS.e_c,

@@ -51,6 +51,16 @@ def test_log_multiplicity_matches_exact():
             assert sectors.log_multiplicity(n, s) == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [512, 4096, 16384])
+def test_log_multiplicity_within_a_few_ulp_at_large_n(n):
+    # the error of log C(N, k) is set by lgamma(N + 1), the largest term
+    tol = 4 * math.ulp(math.lgamma(n + 1))
+    labels = np.unique(np.rint(np.linspace(0, n // 2, 41)))
+    got = sectors.log_multiplicity(n, labels)
+    for s, value in zip(labels, got):
+        assert abs(value - math.log(sectors.multiplicity(n, s))) <= tol
+
+
 def test_log_multiplicity_large_n():
     # d(s) itself overflows float64 here; the log must still be finite
     val = sectors.log_multiplicity(4096, 10)
