@@ -132,7 +132,9 @@ def spectrum(params: CircuitParams, trunc: ChargeBasisTruncation, k: int) -> Spe
 
 def propagator(params: CircuitParams, trunc: ChargeBasisTruncation, t: float) -> np.ndarray:
     """Exact evolution operator ``exp(-i t h)`` on the truncated basis, by
-    eigendecomposition; unitary to rounding."""
+    eigendecomposition; unitary to rounding.  A time that is not finite is
+    a ``ParameterError``."""
+    require_finite(t=t)
     evals, vecs = eigh(build_hamiltonian(params, trunc))
     return (vecs * np.exp(-1j * t * evals)) @ vecs.T
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, require_finite
 
 __all__ = ["chain_dyson", "ordered_phase_integral"]
 
@@ -58,8 +58,10 @@ def chain_dyson(diag, hop, start, seed, t: float, order: int) -> np.ndarray:
     leaves its chain.  The result has shape ``(len(start), E)``.  The hop out
     of ``start`` is the outermost integral.
 
-    Raises ``NumericalError`` if node doubling never stabilizes to ``_TOL``.
+    Raises ``ParameterError`` for a time that is not finite, and
+    ``NumericalError`` if node doubling never stabilizes to ``_TOL``.
     """
+    require_finite(t=t)
     diag, hop = np.asarray(diag, dtype=float), np.asarray(hop, dtype=float)
     start, seed = np.asarray(start, dtype=int), np.asarray(seed, dtype=complex)
 

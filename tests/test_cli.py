@@ -227,6 +227,10 @@ CIRCLE = {"e_c": 1.0, "e_j": 0.2, "n_max": 12}
 JUNCTION = {"left": {"epsilon": 0.0, "t_c": 1.0}, "right": {"epsilon": 0.0, "t_c": 1.0},
             "beta": 2.0, "lambda": 1.0, "e_c": 0.4, "time": 0.3, "n_list": [4]}
 CONVERGE = {"epsilon": 0.0, "t_c": 1.0, "beta": 2.0}
+# the README's junction example
+README_JUNCTION = {"left": {"epsilon": 0.0, "t_c": 1.0}, "right": {"epsilon": 0.0, "t_c": 1.0},
+                   "beta": 2.0, "lambda": 1.0, "e_c": 0.4, "n_g": 0.2, "time": 0.3,
+                   "n_list": [4, 8, 12], "elements": [[0, 0, 1, -1]], "dyson_order": 2}
 
 
 @pytest.mark.parametrize("command,config", [
@@ -366,12 +370,13 @@ print(json.dumps({"codes": codes, "loaded": loaded,
 
 
 def test_numpy_only_commands_never_import_scipy(tmp_path):
-    # scipy serves only the junction's tridiagonal solver, imported on its
-    # first call; the probe's own solve shows that the check would see it
+    # no command imports scipy; `junction.eigh_tridiagonal` imports it on its
+    # first call, and the probe's own call shows that the check would see it
     runs = []
     for command, config in [("gap", {"epsilon": 0.0, "t_c": 1.0, "betas": [2.0, 4.0]}),
                             ("converge", {**CONVERGE, "n_list": [8, 16, 32]}),
-                            ("circle", CIRCLE)]:
+                            ("circle", CIRCLE),
+                            ("junction", README_JUNCTION)]:
         cfg_path = tmp_path / f"{command}.json"
         cfg_path.write_text(json.dumps(config))
         runs.append((command, str(cfg_path), str(tmp_path / command)))
@@ -382,7 +387,7 @@ def test_numpy_only_commands_never_import_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0, 0]
+    assert report["codes"] == [0, 0, 0, 0]
     assert report["loaded"] == []
     assert report["after_solve"]
 

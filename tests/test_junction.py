@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qfluct import correlators, dense, gap, junction, sectors
-from qfluct.errors import NormalPhaseError, ParameterError
+from qfluct import circle, correlators, dense, gap, junction, quadrature, sectors
+from qfluct.errors import NormalPhaseError, NumericalError, ParameterError
 
 PARAMS = junction.JunctionParams(
     left=sectors.ModelParams(epsilon=0.2, t_c=1.0, beta=2.0),
@@ -123,36 +123,49 @@ def test_element_matches_unpacked_reference(n_spins, source, target):
     assert abs(got - want) <= 2e-15 * abs(want)
 
 
-def counting_solver(monkeypatch):
-    """Wrap the junction's tridiagonal solver; return the list of
-    ``(sites, nonzero hops)`` of its calls."""
-    calls = []
-    solve = junction.eigh_tridiagonal
-
-    def counted(d, e, *args, **kwargs):
-        calls.append((len(d), np.count_nonzero(e)))
-        return solve(d, e, *args, **kwargs)
-
-    monkeypatch.setattr(junction, "eigh_tridiagonal", counted)
-    return calls
+def laid_sites(parts, field):
+    """A site-index field of batches or chunks, as indices into all of their
+    sites laid end to end."""
+    offsets = np.cumsum([0] + [part.diag.size for part in parts[:-1]])
+    return np.concatenate([getattr(part, field) + o for part, o in zip(parts, offsets)])
 
 
 @pytest.mark.parametrize("source,target", [((0, 0), (1, -1)), ((0, 0), (0, 0))])
 def test_solver_counts_every_chain_site(monkeypatch, source, target):
-    lengths = np.array([sites.stop - sites.start for batch in junction.chain_batches(
-        PARAMS, 8, source, target, gaps=GAPS) for sites in chain_sites(batch)])
-    calls = counting_solver(monkeypatch)
-    junction.evolution_element(PARAMS, 8, source, target, 0.7, gaps=GAPS)
-    assert calls
-    assert sum(sites for sites, _ in calls) == lengths.sum()
-    for sites, hops in calls:
-        # a pack larger than the bound is one chain: every hop inside is live
-        assert sites <= junction._PACK_SITES or hops == sites - 1
+    batches = list(junction.chain_batches(PARAMS, 8, source, target, gaps=GAPS))
+    chunks = []  # every chunk the propagator is given
+    propagate = junction._chain_elements
+    monkeypatch.setattr(junction, "_chain_elements",
+                        lambda chunk, t: chunks.append(chunk) or propagate(chunk, t))
+    want = junction.evolution_element(PARAMS, 8, source, target, 0.7, gaps=GAPS).value
+    # at N = 8 the batches hold 56 to 120 sites: a 100-site bound leaves
+    # some of them chunks of their own
+    for chunk_sites in (junction._CHUNK_SITES, 100):
+        monkeypatch.setattr(junction, "_CHUNK_SITES", chunk_sites)
+        chunks.clear()
+        got = junction.evolution_element(PARAMS, 8, source, target, 0.7, gaps=GAPS).value
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
+        # every chain site once, in order, and no hop from one batch to the next
+        for field in ("diag", "weight"):
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(chunk, field) for chunk in chunks]),
+                np.concatenate([getattr(batch, field) for batch in batches]))
+        np.testing.assert_array_equal(
+            np.concatenate([np.append(chunk.hop, 0.0) for chunk in chunks]),
+            np.concatenate([np.append(batch.hop, 0.0) for batch in batches]))
+        for field in ("first", "start", "end"):
+            np.testing.assert_array_equal(laid_sites(chunks, field), laid_sites(batches, field))
+        for chunk in chunks:
+            # a chunk larger than the bound is a single batch
+            assert chunk.diag.size <= chunk_sites or any(
+                np.array_equal(chunk.diag, batch.diag) for batch in batches)
+        if chunk_sites == 100:
+            assert max(chunk.diag.size for chunk in chunks) > 100
 
 
-def test_packs_match_chain_by_chain_exponential(monkeypatch):
-    # a long chain is a pack of its own, short ones share packs, and a
-    # one-site chain left alone is solved like any other pack
+def test_packs_match_chain_by_chain_exponential():
+    # one recursion over chains of very different lengths, a one-site chain
+    # among them and one at the end
     rng = np.random.default_rng(3)
     length = np.array([3, 200, 1, 5, 130, 1])
     first = np.cumsum(length) - length
@@ -161,17 +174,73 @@ def test_packs_match_chain_by_chain_exponential(monkeypatch):
     hop[first[1:] - 1] = 0.0  # no hop from one chain to the next
     start = first + np.array([rng.integers(n) for n in length])
     end = first + np.array([rng.integers(n) for n in length])
-    # the sector and charge labels are not read by the solve
+    # the sector and charge labels are not read by the propagation
     batch = junction.ChainBatch(s_l=None, s_r=None, weight=None, a=None, b=None,
                                 diag=diag, hop=hop, first=first, start=start, end=end)
-    calls = counting_solver(monkeypatch)
     got = junction._chain_elements(batch, 0.9)
-    assert [sites for sites, _ in calls] == [3, 200, 6, 130, 1]
     for c, sites in enumerate(chain_sites(batch)):
         inner = hop[sites.start:sites.stop - 1]
         h = np.diag(diag[sites]) + np.diag(inner, 1) + np.diag(inner, -1)
         want = scipy.linalg.expm(-0.9j * h)[end[c] - first[c], start[c] - first[c]]
         assert got[c] == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_spins", [8, 12])
+@pytest.mark.parametrize("source,target", [((0, 0), (1, -1)), ((1, 0), (0, 1)),
+                                           ((0, 0), (0, 0))])
+def test_element_at_negative_time_is_conjugate(n_spins, source, target):
+    # the chains are real, so exp(i t H) is the conjugate of exp(-i t H)
+    forward = junction.evolution_element(PARAMS, n_spins, source, target, 0.7,
+                                         gaps=GAPS).value
+    backward = junction.evolution_element(PARAMS, n_spins, source, target, -0.7,
+                                          gaps=GAPS).value
+    assert abs(backward - forward.conjugate()) <= 2e-15 * abs(forward)
+
+
+@pytest.mark.parametrize("x", [0.1, 1.0, 30.0, 300.0])
+def test_bessel_coefficients_match_mpmath(x):
+    mpmath = pytest.importorskip("mpmath")
+    order = junction._chebyshev_order(x)
+    got = junction._bessel_j(x, order)
+    want = [mpmath.besselj(k, x) for k in range(order + 1)]
+    for k, value in enumerate(got):
+        assert abs(value - want[k]) <= 4e-16
+        if k > x:  # the decaying tail, relative
+            assert abs(value - want[k]) <= 1e-14 * abs(want[k])
+    # the terms past the order sum to at most the tail bound (they fall
+    # faster than geometrically, so 40 of them are the whole sum to rounding)
+    assert 2 * sum(abs(mpmath.besselj(k, x)) for k in range(order + 1, order + 41)) <= junction._TAIL
+
+
+def test_element_at_long_time_matches_unpacked_reference():
+    # t R is past 100 here, so the recursion runs to order 200 and more
+    want = unpacked_element(12, (0, 0), (1, -1), 10.0)
+    got = junction.evolution_element(PARAMS, 12, (0, 0), (1, -1), 10.0, gaps=GAPS).value
+    assert abs(got - want) <= 1e-13
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_rejected(t):
+    circuit = circle.CircuitParams(e_c=1.0, e_j=0.5, n_g=0.0)
+    trunc = circle.ChargeBasisTruncation(4)
+    calls = [
+        lambda: junction.evolution_element(PARAMS, 4, (0, 0), (1, -1), t, gaps=GAPS),
+        lambda: junction.circle_element(PARAMS, (0, 0), (1, -1), t, gaps=GAPS),
+        lambda: junction.dyson_junction(PARAMS, 4, t, 2, [((0, 0), (1, -1))], gaps=GAPS),
+        lambda: circle.propagator(circuit, trunc, t),
+        lambda: circle.dyson_defect(circuit, trunc, t, 2),
+        lambda: quadrature.chain_dyson([0.0, 1.0], [0.5], [0], np.eye(2), t, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="t must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("t", [1e12, 1e308])
+def test_order_cap_raises_numerical_error(t):
+    # at 1e308, t R is past float range
+    with pytest.raises(NumericalError, match=f"above {junction._ORDER_MAX}"):
+        junction.evolution_element(PARAMS, 4, (0, 0), (1, -1), t, gaps=GAPS)
 
 
 def test_element_at_time_zero():
