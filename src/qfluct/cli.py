@@ -288,8 +288,8 @@ def cmd_junction(c: dict):
     deviations, bound = junction.dyson_junction_defect(
         params, dyson_n, t, order, elements, gaps=gaps)
     rows_by_n = junction.meso_compare(params, n_list, elements, t, gaps=gaps)
-    # the quadrature resolves each Dyson term to its node-doubling stop, so a
-    # measured deviation below this is rounding, even where the bound is smaller
+    # the quadrature accepts a Dyson term once its Legendre tail is within this,
+    # so a measured deviation below it is unresolved, even where the bound is smaller
     exact = (row.finite_values[n_list.index(dyson_n)] for row in rows_by_n)
     resolution = quadrature._TOL * max(1.0, *map(abs, exact))
 

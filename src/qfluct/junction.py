@@ -183,12 +183,27 @@ def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=Non
         )
 
 
+def _integral(label) -> bool:
+    try:
+        return int(label) == label
+    except (OverflowError, ValueError):  # inf or nan
+        return False
+
+
 def _charge_labels(source, target):
+    """Both charge states as pairs of ints; a label that is not an integer
+    is a ``ParameterError``."""
+    if not all(map(_integral, (*source, *target))):
+        raise ParameterError(f"element {list(source)} -> {list(target)}: charge "
+                             f"labels must be integers")
     return (int(source[0]), int(source[1])), (int(target[0]), int(target[1]))
 
 
 # most sites of one Chebyshev recursion, unless a single batch is larger
 _CHUNK_SITES = 2**13
+# most sites of one Dyson quadrature: it holds a few (nodes, sites) arrays
+# per chunk, so larger chunks raise the peak memory
+_DYSON_CHUNK_SITES = 2**8
 # highest order of one Chebyshev recursion (the order grows as |t| R)
 _ORDER_MAX = 2**14
 # a-priori bound on the Chebyshev terms left out of one chain element
@@ -312,13 +327,13 @@ def _chain_elements(batch: ChainBatch, t: float) -> np.ndarray:
     return np.exp(-1j * (t * centre)) * (parts[0] + 1j * parts[1])
 
 
-def _chunks(batches):
-    """Consecutive batches laid end to end into chunks of at most
-    ``_CHUNK_SITES`` sites; a batch larger than that is a chunk of its own.
-    A chunk of several batches carries no sector or charge labels."""
+def _chunks(batches, limit: int):
+    """Consecutive batches laid end to end into chunks of at most ``limit``
+    sites; a batch larger than that is a chunk of its own.  A chunk of
+    several batches carries no sector or charge labels."""
     pending, sites = [], 0
     for batch in batches:
-        if pending and sites + batch.diag.size > _CHUNK_SITES:
+        if pending and sites + batch.diag.size > limit:
             yield _joined(pending)
             pending, sites = [], 0
         pending.append(batch)
@@ -362,9 +377,14 @@ def evolution_element(params: JunctionParams, n_spins: int, source, target,
     require_finite(t=t)
     source, target = _charge_labels(source, target)
     total = 0j
-    for chunk in _chunks(chain_batches(params, n_spins, source, target, gaps)):
-        total += complex(np.dot(chunk.weight, _chain_elements(chunk, t)))
+    for chunk in _chunks(chain_batches(params, n_spins, source, target, gaps),
+                         _CHUNK_SITES):
+        total += _weighted_elements(chunk, t)
     return TransitionElement(source, target, t, total)
+
+
+def _weighted_elements(chunk: ChainBatch, t: float) -> complex:
+    return complex(np.dot(chunk.weight, _chain_elements(chunk, t)))
 
 
 # charge window of the circle comparator before its doubling check
@@ -380,7 +400,9 @@ def circle_element(params: JunctionParams, source, target, t: float,
     ``n_g`` is the integer charge ``n - 1/2`` with offset ``n_g - 1/2``, so
     both use the integer grid.  The truncation ``_CIRCLE_N_MAX`` is doubled
     once and must agree to 1e-12; a relative charge outside
-    ``|n| <= _CIRCLE_N_MAX`` is a ``ParameterError``."""
+    ``|n| <= _CIRCLE_N_MAX`` is a ``ParameterError``, and so is a time that
+    is not finite."""
+    require_finite(t=t)
     if sum(source) != sum(target):
         return 0j
     n_in = (source[0] - source[1]) / 2.0
@@ -445,44 +467,63 @@ def meso_compare(params: JunctionParams, n_list, elements, t: float,
     return rows
 
 
+def _check_dyson(n_spins: int, t: float, order: int) -> None:
+    check_spin_count(n_spins)
+    require_finite(t=t)
+    if order < 0:
+        raise ParameterError("order must be >= 0")
+
+
+def _dyson_chunks(params, n_spins, source, target, gaps):
+    return _chunks(chain_batches(params, n_spins, source, target, gaps),
+                   _DYSON_CHUNK_SITES)
+
+
+def _dyson_terms(chunk: ChainBatch, t: float, order: int) -> complex:
+    """The weighted ``D_K U_0`` elements of a chunk's chains, summed: each
+    chain carries its Dyson terms from the source to the target site, all
+    target sites seeded in one column (the chains are disjoint), and
+    ``U_0`` contributes the free and charging phase of the source."""
+    seed = np.isin(np.arange(chunk.diag.size), chunk.end)[:, None]
+    terms = chain_dyson(chunk.diag, chunk.hop, chunk.start, seed, t, order)
+    u0 = np.exp(-1j * t * chunk.diag[chunk.start])
+    return complex(np.sum(chunk.weight * u0 * terms[:, 0]))
+
+
 def dyson_junction(params: JunctionParams, n_spins: int, t: float, order: int,
                    elements, gaps=None) -> dict:
     """Elements of the order-K time-ordered perturbative propagator
     ``D_K(t) U_0(t)``, tunneling as the perturbation.
 
-    Each chain carries its Dyson terms from the source to the target
-    site: the shared chain recursion runs once per batch (one per left
-    table entry), all target sites seeded in one column (the chains are
-    disjoint), and ``U_0`` contributes the free and charging phase of the
-    source.
+    The batches, one per left table entry, are laid end to end in chunks of
+    at most ``_DYSON_CHUNK_SITES`` sites, and the shared chain recursion
+    runs once per chunk.  Raises ``ParameterError`` for an odd or too small
+    ``n_spins``, a time that is not finite, a negative order or a charge
+    label that is not an integer, before any work.
     """
-    check_spin_count(n_spins)
-    if order < 0:
-        raise ParameterError("order must be >= 0")
+    _check_dyson(n_spins, t, order)
+    elements = [_charge_labels(source, target) for source, target in elements]
     gaps = _resolve_gaps(params, gaps)
-
-    results = {}
-    for source, target in elements:
-        source, target = _charge_labels(source, target)
-        total = 0j
-        for batch in chain_batches(params, n_spins, source, target, gaps):
-            seed = np.isin(np.arange(batch.diag.size), batch.end)[:, None]
-            terms = chain_dyson(batch.diag, batch.hop, batch.start, seed, t, order)
-            u0 = np.exp(-1j * t * batch.diag[batch.start])
-            total += complex(np.sum(batch.weight * u0 * terms[:, 0]))
-        results[(source, target)] = total
-    return results
+    return {(source, target): sum((_dyson_terms(chunk, t, order) for chunk in
+                                   _dyson_chunks(params, n_spins, source, target, gaps)), 0j)
+            for source, target in elements}
 
 
 def dyson_junction_defect(params: JunctionParams, n_spins: int, t: float,
                           order: int, elements, gaps=None):
     """Per-element deviation |exact - D_K U_0| together with the factorial
-    bound (2 lambda)^{K+1} t^{K+1} / (K+1)! that holds uniformly in N."""
+    bound (2 lambda)^{K+1} t^{K+1} / (K+1)! that holds uniformly in N.
+
+    Each element's chains are built once: every chunk of
+    ``dyson_junction`` is also propagated exactly, as in
+    ``evolution_element``.  It raises as ``dyson_junction`` does."""
+    _check_dyson(n_spins, t, order)
+    elements = [_charge_labels(source, target) for source, target in elements]
     gaps = _resolve_gaps(params, gaps)
-    approx = dyson_junction(params, n_spins, t, order, elements, gaps=gaps)
     deviations = {}
     for source, target in elements:
-        key = (tuple(source), tuple(target))
-        exact = evolution_element(params, n_spins, source, target, t, gaps=gaps).value
-        deviations[key] = abs(exact - approx[key])
+        deviation = 0j
+        for chunk in _dyson_chunks(params, n_spins, source, target, gaps):
+            deviation += _weighted_elements(chunk, t) - _dyson_terms(chunk, t, order)
+        deviations[(source, target)] = abs(deviation)
     return deviations, _dyson_bound(order, 2.0 * abs(params.lam), abs(t))

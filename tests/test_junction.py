@@ -223,10 +223,18 @@ def test_element_at_long_time_matches_unpacked_reference():
 def test_non_finite_time_rejected(t):
     circuit = circle.CircuitParams(e_c=1.0, e_j=0.5, n_g=0.0)
     trunc = circle.ChargeBasisTruncation(4)
-    calls = [
-        lambda: junction.evolution_element(PARAMS, 4, (0, 0), (1, -1), t, gaps=GAPS),
-        lambda: junction.circle_element(PARAMS, (0, 0), (1, -1), t, gaps=GAPS),
-        lambda: junction.dyson_junction(PARAMS, 4, t, 2, [((0, 0), (1, -1))], gaps=GAPS),
+
+    def junction_calls(source, target):
+        return [
+            lambda: junction.evolution_element(PARAMS, 4, source, target, t, gaps=GAPS),
+            lambda: junction.circle_element(PARAMS, source, target, t, gaps=GAPS),
+            lambda: junction.dyson_junction(PARAMS, 4, t, 2, [(source, target)], gaps=GAPS),
+            lambda: junction.dyson_junction_defect(PARAMS, 4, t, 2, [(source, target)],
+                                                   gaps=GAPS),
+        ]
+    # a charge-violating element has no chains, so only the time check
+    # rejects it
+    calls = junction_calls((0, 0), (1, -1)) + junction_calls((0, 0), (1, 1)) + [
         lambda: circle.propagator(circuit, trunc, t),
         lambda: circle.dyson_defect(circuit, trunc, t, 2),
         lambda: quadrature.chain_dyson([0.0, 1.0], [0.5], [0], np.eye(2), t, 2),
@@ -265,6 +273,27 @@ def test_charge_violating_elements_vanish_exactly():
     oracle = dense_oracle()
     assert abs(oracle.element((0, 0), (1, 1), 0.9)) < 1e-12
     assert junction.circle_element(PARAMS, (0, 0), (1, 1), 0.9, gaps=GAPS) == 0j
+
+
+@pytest.mark.parametrize("source,target", [((0, 0), (0.5, -0.5)), ((0.5, 0), (0, 0.5)),
+                                           ((0, math.nan), (0, 0)), ((0, 0), (math.inf, 0))])
+def test_non_integer_charge_label_rejected(source, target):
+    calls = [
+        lambda: junction.evolution_element(PARAMS, 4, source, target, 0.3, gaps=GAPS),
+        lambda: junction.dyson_junction(PARAMS, 4, 0.3, 2, [(source, target)], gaps=GAPS),
+        lambda: junction.dyson_junction_defect(PARAMS, 4, 0.3, 2, [(source, target)],
+                                               gaps=GAPS),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="charge labels must be integers"):
+            call()
+
+
+def test_integral_float_charge_labels_accepted():
+    want = junction.evolution_element(PARAMS, 4, (0, 0), (1, -1), 0.3, gaps=GAPS)
+    got = junction.evolution_element(PARAMS, 4, (0.0, 0.0), (1.0, np.int64(-1)), 0.3,
+                                     gaps=GAPS)
+    assert got.source == (0, 0) and got.target == (1, -1) and got.value == want.value
 
 
 EQUAL_LAYERS = junction.JunctionParams(
@@ -482,6 +511,36 @@ def test_dyson_terms_vs_block_exponential():
 def test_dyson_rejects_bad_order():
     with pytest.raises(ParameterError):
         junction.dyson_junction(PARAMS, 4, 0.4, -1, ELEMENTS, gaps=GAPS)
+
+
+CRITERION_8_ELEMENTS = ELEMENTS[:4]
+
+
+@pytest.mark.parametrize("n_spins", [4, 6])
+def test_dyson_defect_is_exact_minus_dyson(n_spins):
+    # the defect builds each element's chains once and propagates them both
+    # ways; it must agree with the two public calls made apart
+    for order in range(5):
+        devs, _ = junction.dyson_junction_defect(PARAMS, n_spins, 0.4, order,
+                                                 CRITERION_8_ELEMENTS, gaps=GAPS)
+        approx = junction.dyson_junction(PARAMS, n_spins, 0.4, order,
+                                         CRITERION_8_ELEMENTS, gaps=GAPS)
+        assert list(devs) == list(approx) == CRITERION_8_ELEMENTS
+        for source, target in CRITERION_8_ELEMENTS:
+            exact = junction.evolution_element(PARAMS, n_spins, source, target, 0.4,
+                                               gaps=GAPS).value
+            assert abs(devs[(source, target)] - abs(exact - approx[(source, target)])) <= 1e-15
+
+
+@pytest.mark.parametrize("n_spins,t,order", [(5, 0.4, 2), (4, 0.4, -1), (4, math.nan, 2)])
+def test_dyson_defect_rejects_before_any_work(monkeypatch, n_spins, t, order):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+    monkeypatch.setattr(junction, "layer_gaps", no_work)
+    monkeypatch.setattr(junction, "chain_batches", no_work)
+    for call in (junction.dyson_junction, junction.dyson_junction_defect):
+        with pytest.raises(ParameterError):
+            call(PARAMS, n_spins, t, order, CRITERION_8_ELEMENTS)
 
 
 def test_two_layer_correlator_vs_dense():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qfluct import circle, junction, quadrature, sectors
 from qfluct.errors import NumericalError, ParameterError
 from qfluct.quadrature import _dyson_bound, chain_dyson, ordered_phase_integral
 
@@ -81,3 +82,56 @@ def test_dyson_bound_at_huge_scale():
     # one power overflows, the product does not
     assert _dyson_bound(2, 1e200, 1e-200) == pytest.approx(1.0 / 6.0, rel=1e-12)
     assert _dyson_bound(500, 1e300) == math.inf
+
+
+@pytest.fixture
+def node_counts(monkeypatch):
+    """The node counts evaluated by each ``chain_dyson`` call that the
+    circle and junction modules make, one list per call."""
+    calls, operators = [], quadrature._operators
+    monkeypatch.setattr(quadrature, "_operators",
+                        lambda q: calls[-1].append(q) or operators(q))
+
+    def counted(*args):
+        calls.append([])
+        return quadrature.chain_dyson(*args)
+
+    monkeypatch.setattr(circle, "chain_dyson", counted)
+    monkeypatch.setattr(junction, "chain_dyson", counted)
+    return calls
+
+
+def test_dyson_orders_configs_evaluate_once(node_counts):
+    # the circle and junction Dyson configurations of the benchmark: each
+    # call's first node count passes its tail check
+    params, trunc = circle.CircuitParams(e_c=1.0, e_j=1.0), circle.ChargeBasisTruncation(8)
+    for order in range(1, 9):
+        circle.dyson_defect(params, trunc, 0.5, order)
+    jparams = junction.JunctionParams(
+        left=sectors.ModelParams(epsilon=0.2, t_c=1.0, beta=2.0),
+        right=sectors.ModelParams(epsilon=0.0, t_c=1.2, beta=2.0),
+        lam=0.8, e_c=0.5, n_g=0.25, beta=2.0)
+    gaps = junction.layer_gaps(jparams)
+    elements = [((0, 0), (0, 0)), ((0, 0), (1, -1)), ((1, -1), (1, -1)), ((1, 0), (0, 1))]
+    for n_spins in (4, 6):
+        for order in range(1, 5):
+            junction.dyson_junction_defect(jparams, n_spins, 0.4, order, elements, gaps=gaps)
+    assert len(node_counts) > 8 and all(len(counts) == 1 for counts in node_counts)
+
+
+def test_doubled_node_count_matches_block_exponential(node_counts):
+    # the start formula gives this chain 32 nodes, too few for its higher
+    # orders: the first count fails its tail check and the doubled one is
+    # exact (Van Loan: block (0, m) of expm(-i t B) is the order-m term)
+    from scipy.linalg import expm
+
+    params, trunc = circle.CircuitParams(e_c=1.0, e_j=1.0), circle.ChargeBasisTruncation(4)
+    t, order, dim = 2.0, 6, trunc.dim
+    h = circle.build_hamiltonian(params, trunc)
+    h0 = np.diag(np.diag(h))
+    blocks = np.kron(np.eye(order + 1), h0) + np.kron(np.eye(order + 1, k=1), h - h0)
+    first_row = expm(-1j * t * blocks)[:dim]
+    want = first_row.reshape(dim, order + 1, dim).sum(axis=1)
+    got = circle.dyson_circle(params, trunc, t, order) @ np.diag(np.exp(-1j * t * np.diag(h)))
+    assert node_counts == [[32, 64]]
+    assert np.max(np.abs(got - want)) <= 1e-12
