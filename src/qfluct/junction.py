@@ -10,17 +10,17 @@ hops ``(a, b) -> (a+1, b-1)``, so the block further decomposes into
 tridiagonal chains of fixed ``a + b`` (total charge is conserved, so an
 element that changes it has no chain and is exactly zero).  Matrix
 elements of the propagator between charge-transfer states are therefore
-exact sums over chains of small tridiagonal problems, built in one batch
-per left table entry ``(s_L, sz_L0)``.  A batch's chains are laid end to
-end (a chain's last hop is exactly zero, so no amplitude crosses from one
-chain to the next), consecutive batches are laid end to end into chunks of
-at most ``_CHUNK_SITES`` sites, and each chunk is propagated by one real
-Chebyshev recursion over its flat arrays.  Nothing global is ever
-materialized: a chunk holds a few vectors of its sites.  The recursion's
-order, and so its cost, grows linearly with ``|t| R``, the time times the
-largest Gershgorin half-width of a chunk's chains (R is about 80 at
-N = 20): there it is 4-5 times faster than a tridiagonal eigensolve per
-chain for t <= 1 and about as fast near t = 8.
+exact sums over chains of small tridiagonal problems, built in chunks of
+at most ``_CHUNK_SITES`` sites, one vectorized pass each: the chains of
+consecutive left table entries ``(s_L, sz_L0)``, laid end to end (a
+chain's last hop is exactly zero, so no amplitude crosses from one chain
+to the next).  Each chunk is propagated by one real Chebyshev recursion
+over its flat arrays.  No array spans every entry pair: a chunk holds a
+few vectors of its sites.
+The recursion's order, and so its cost, grows linearly with ``|t| R``, the
+time times the largest Gershgorin half-width of a chunk's chains (R is
+about 80 at N = 20): there it is 4-5 times faster than a tridiagonal
+eigensolve per chain for t <= 1 and about as fast near t = 8.
 
 Energy scales: hopping enters as ``lambda / N^2`` (tunneling is a surface
 effect), and the large-N coupling of the relative phase is
@@ -113,19 +113,32 @@ class TransitionElement:
     value: complex
 
 
+# most sites of one Chebyshev recursion, unless one left entry has more
+_CHUNK_SITES = 2**13
+# most sites of one Dyson quadrature: it holds a few (nodes, sites) arrays
+# per chunk, so larger chunks raise the peak memory
+_DYSON_CHUNK_SITES = 2**8
+# highest order of one Chebyshev recursion (the order grows as |t| R)
+_ORDER_MAX = 2**14
+# a-priori bound on the Chebyshev terms left out of one chain element
+_TAIL = 2.0**-60
+
+
 @dataclass(frozen=True)
 class ChainBatch:
-    """The fixed-charge chains of one left table entry ``(s_l, sz_l0)``
-    against every contributing right entry ``(s_r, sz_r0)``, laid end to end.
+    """The fixed-charge chains of consecutive left table entries
+    ``(s_l, sz_l0)``, each against every contributing right entry
+    ``(s_r, sz_r0)``, laid end to end.
 
-    Site ``i`` holds the system labels ``(a[i], b[i])``; chain ``c`` starts at
-    site ``first[c]``, ``a`` ascending and ``a + b`` fixed.  ``hop[i]`` joins
-    sites ``i`` and ``i + 1``, exactly zero out of a chain's last site (there
-    ``a = s_l`` or ``b = -s_r``).  ``start`` and ``end`` are the sites of the
-    source and target labels, and ``weight`` is the thermal weight of the
-    entry pair times the ladder amplitudes and normalizations."""
+    Chain ``c`` joins the sectors ``s_l[c]`` and ``s_r[c]``, starts at site
+    ``first[c]`` and has the weight ``weight[c]``: that of its entry pair
+    times the ladder amplitudes and normalizations.  Site ``i`` holds the
+    labels ``(a[i], b[i])``, ``a`` ascending and ``a + b`` fixed along a
+    chain.  ``hop[i]`` joins sites ``i`` and ``i + 1``, exactly zero out of
+    a chain's last site (there ``a = s_l`` or ``b = -s_r``).  ``start`` and
+    ``end`` are the sites of the source and target labels."""
 
-    s_l: float
+    s_l: np.ndarray
     s_r: np.ndarray
     weight: np.ndarray
     a: np.ndarray
@@ -137,49 +150,80 @@ class ChainBatch:
     end: np.ndarray
 
 
-def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=None):
-    """Yield one ``ChainBatch`` per left table entry that both charge states
-    reach, chains end to end.  Diagonal: layer spectra relative to the
-    commutant labels plus the charging term; hops: the tunneling ladder
-    products scaled by lambda / N^2.  Total charge is conserved exactly: an
-    element with ``n_L + n_R != n_L' + n_R'`` has no chain and yields none."""
-    (n_l, n_r), (n_lp, n_rp) = source, target
+def _reached(layer: ModelParams, n_spins: int, n: int, n_p: int):
+    """``(s, sz0, log_weight, amplitude)`` of the table entries of one layer
+    that both charges ``n`` and ``n_p`` reach: the amplitude, the product of
+    the two ladder coefficients, is nonzero."""
+    s, sz0, logw = thermal_table(layer, n_spins).flat()
+    amp = ladder_coefficient(s, sz0, n) * ladder_coefficient(s, sz0, n_p)
+    keep = amp != 0.0
+    return s[keep], sz0[keep], logw[keep], amp[keep]
+
+
+def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=None,
+                  sites: int = _CHUNK_SITES):
+    """Yield the chains of every table entry pair that both charge states
+    reach, as ``ChainBatch`` chunks of consecutive left entries, each with
+    all of its chains: as many entries as fit in ``sites`` sites, and a
+    left entry with more is a chunk of its own.  Each chunk is built in one
+    vectorized pass.  Diagonal: layer spectra relative to the commutant
+    labels plus the charging term; hops: the tunneling ladder products
+    scaled by lambda / N^2.  Total charge is conserved exactly: an element
+    with ``n_L + n_R != n_L' + n_R'`` has no chain and yields none.
+
+    Raises ``ParameterError`` for a charge label that is not an integer."""
+    (n_l, n_r), (n_lp, n_rp) = _charge_labels(source, target)
     if n_l + n_r != n_lp + n_rp:
         return
     gl, gr = _resolve_gaps(params, gaps)
     pl, pr = params.left, params.right
     log_norm = ((abs(n_l) + abs(n_lp)) * math.log(gl.delta * n_spins)
                 + (abs(n_r) + abs(n_rp)) * math.log(gr.delta * n_spins))
-
-    s_r, sz_r0, logw_r = thermal_table(pr, n_spins).flat()
-    amp_r = ladder_coefficient(s_r, sz_r0, n_r) * ladder_coefficient(s_r, sz_r0, n_rp)
-    keep = amp_r != 0.0
-    if not keep.any():
+    s_l, sz_l0, logw_l, amp_l = _reached(pl, n_spins, n_l, n_lp)
+    s_r, sz_r0, logw_r, amp_r = _reached(pr, n_spins, n_r, n_rp)
+    if not (s_l.size and s_r.size):
         return
-    s_r, sz_r0, logw_r, amp_r = s_r[keep], sz_r0[keep], logw_r[keep], amp_r[keep]
-    for s_l, sz_l0, logw_l in zip(*thermal_table(pl, n_spins).flat()):
-        amp_l = (ladder_coefficient(s_l, sz_l0, n_l)
-                 * ladder_coefficient(s_l, sz_l0, n_lp))
-        if amp_l == 0.0:
-            continue
-        charge = sz_l0 + n_l + sz_r0 + n_r
-        a_lo = np.maximum(-s_l, charge - s_r)
-        length = np.rint(np.minimum(s_l, charge + s_r) - a_lo).astype(int) + 1
-        first = np.cumsum(length) - length
-        chain = np.repeat(np.arange(length.size), length)  # the chain of each site
-        a = a_lo[chain] + (np.arange(chain.size) - first[chain])
-        b = charge[chain] - a
-        site_s_r, site_sz_r0 = s_r[chain], sz_r0[chain]
-        diag = ((eta(pl, n_spins, s_l, a) - eta(pl, n_spins, s_l, sz_l0))
-                + (eta(pr, n_spins, site_s_r, b) - eta(pr, n_spins, site_s_r, site_sz_r0))
-                + params.e_c * (0.5 * ((a - sz_l0) - (b - site_sz_r0)) - params.n_g) ** 2)
-        hop = (params.lam / n_spins**2 * ladder_coefficient(s_l, a[:-1], 1)
+    eta_l0, eta_r0 = eta(pl, n_spins, s_l, sz_l0), eta(pr, n_spins, s_r, sz_r0)
+
+    def chains(lo, hi):  # a + b, lowest a and length of the chains of left entries lo:hi
+        charge = (sz_l0[lo:hi, None] + n_l) + (sz_r0 + n_r)
+        a_lo = np.maximum(-s_l[lo:hi, None], charge - s_r)
+        length = np.rint(np.minimum(s_l[lo:hi, None], charge + s_r) - a_lo).astype(int) + 1
+        return charge, a_lo, length
+
+    # the sites of each left entry set the chunk bounds, greedily; they are
+    # counted in blocks of about _CHUNK_SITES pairs, so no array spans all pairs
+    block = max(1, _CHUNK_SITES // s_r.size)
+    sizes = np.concatenate([chains(lo, lo + block)[2].sum(axis=1)
+                            for lo in range(0, s_l.size, block)])
+    bounds, total = [0], 0
+    for i, size in enumerate(sizes.tolist()):
+        if total and total + size > sites:
+            bounds.append(i)
+            total = 0
+        total += size
+    for lo, hi in zip(bounds, bounds[1:] + [s_l.size]):
+        charge, a_lo, length = chains(lo, hi)
+        lengths = length.ravel()
+        first = np.cumsum(lengths) - lengths
+        chain = np.repeat(np.arange(lengths.size), lengths)  # the chain of each site
+        left, right = np.divmod(chain, s_r.size)  # its entries
+        left += lo
+        a = a_lo.ravel()[chain] + (np.arange(chain.size) - first[chain])
+        b = charge.ravel()[chain] - a
+        site_s_l, site_s_r = s_l[left], s_r[right]
+        diag = ((eta(pl, n_spins, site_s_l, a) - eta_l0[left])
+                + (eta(pr, n_spins, site_s_r, b) - eta_r0[right])
+                + params.e_c * (0.5 * ((a - sz_l0[left]) - (b - sz_r0[right]))
+                                - params.n_g) ** 2)
+        hop = (params.lam / n_spins**2 * ladder_coefficient(site_s_l[:-1], a[:-1], 1)
                * ladder_coefficient(site_s_r[:-1], b[:-1], -1))
+        weight = np.exp(logw_l[lo:hi, None] + logw_r - log_norm) * amp_l[lo:hi, None] * amp_r
+        at_sz_l0 = first + np.rint(sz_l0[lo:hi, None] - a_lo).astype(int).ravel()
         yield ChainBatch(
-            s_l=s_l, s_r=s_r, weight=np.exp(logw_l + logw_r - log_norm) * amp_l * amp_r,
-            a=a, b=b, diag=diag, hop=hop, first=first,
-            start=first + np.rint(sz_l0 + n_l - a_lo).astype(int),
-            end=first + np.rint(sz_l0 + n_lp - a_lo).astype(int),
+            s_l=np.repeat(s_l[lo:hi], s_r.size), s_r=np.tile(s_r, hi - lo),
+            weight=weight.ravel(), a=a, b=b, diag=diag, hop=hop, first=first,
+            start=at_sz_l0 + n_l, end=at_sz_l0 + n_lp,
         )
 
 
@@ -199,22 +243,12 @@ def _charge_labels(source, target):
     return (int(source[0]), int(source[1])), (int(target[0]), int(target[1]))
 
 
-# most sites of one Chebyshev recursion, unless a single batch is larger
-_CHUNK_SITES = 2**13
-# most sites of one Dyson quadrature: it holds a few (nodes, sites) arrays
-# per chunk, so larger chunks raise the peak memory
-_DYSON_CHUNK_SITES = 2**8
-# highest order of one Chebyshev recursion (the order grows as |t| R)
-_ORDER_MAX = 2**14
-# a-priori bound on the Chebyshev terms left out of one chain element
-_TAIL = 2.0**-60
-
-
 def eigh_tridiagonal(d, e):
     """Eigenvalues and eigenvectors of the real symmetric tridiagonal matrix
     with diagonal ``d`` and off-diagonal ``e``: scipy's solver, imported on
     the first call.  No qfluct path calls it; the benchmark harness
-    (``bench/spans.py``) wraps it by this name."""
+    (``bench/spans.py``) wraps it by this name.  scipy is not a dependency
+    of qfluct but of its ``test`` extra, which the harness needs too."""
     from scipy.linalg import eigh_tridiagonal as solve
     return solve(d, e)
 
@@ -264,10 +298,9 @@ def _bessel_j(x: float, order: int) -> list:
 
 
 def _chain_elements(batch: ChainBatch, t: float) -> np.ndarray:
-    """``<end| exp(-i t H_c) |start>`` of every chain ``c`` of a batch, or
-    of a chunk of batches laid end to end, by one real Chebyshev recursion
-    over its flat arrays (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
-    (1984)).
+    """``<end| exp(-i t H_c) |start>`` of every chain ``c`` of a chunk, by
+    one real Chebyshev recursion over its flat arrays (Tal-Ezer & Kosloff,
+    J. Chem. Phys. 81, 3967 (1984)).
 
     Each chain is shifted by the centre ``C_c`` of its Gershgorin interval
     and all are scaled by the largest half-width ``R``, so each
@@ -327,60 +360,27 @@ def _chain_elements(batch: ChainBatch, t: float) -> np.ndarray:
     return np.exp(-1j * (t * centre)) * (parts[0] + 1j * parts[1])
 
 
-def _chunks(batches, limit: int):
-    """Consecutive batches laid end to end into chunks of at most ``limit``
-    sites; a batch larger than that is a chunk of its own.  A chunk of
-    several batches carries no sector or charge labels."""
-    pending, sites = [], 0
-    for batch in batches:
-        if pending and sites + batch.diag.size > limit:
-            yield _joined(pending)
-            pending, sites = [], 0
-        pending.append(batch)
-        sites += batch.diag.size
-    if pending:
-        yield _joined(pending)
-
-
-def _joined(batches) -> ChainBatch:
-    if len(batches) == 1:
-        return batches[0]
-    offset = np.cumsum([0] + [batch.diag.size for batch in batches[:-1]])
-
-    def laid(field):
-        return np.concatenate([getattr(batch, field) + o for batch, o in zip(batches, offset)])
-
-    return ChainBatch(
-        s_l=None, s_r=None, a=None, b=None,
-        weight=np.concatenate([batch.weight for batch in batches]),
-        diag=np.concatenate([batch.diag for batch in batches]),
-        # a zero hop from each batch's last site to the next batch's first
-        hop=np.concatenate([np.append(batch.hop, 0.0) for batch in batches])[:-1],
-        first=laid("first"), start=laid("start"), end=laid("end"))
-
-
 def evolution_element(params: JunctionParams, n_spins: int, source, target,
                       t: float, gaps=None) -> TransitionElement:
     """Exact propagator matrix element between charge-transfer states,
     ``<target| exp(-i t H) |source>`` with the full block Hamiltonian.
 
     A charge-violating element has no chains (``chain_batches`` yields
-    none), so it is exactly 0.  The batches, one per left table entry, are
-    laid end to end in chunks of at most ``_CHUNK_SITES`` sites; each chunk
-    is propagated by one Chebyshev recursion, and its weighted chain
-    elements are added by one dot product.
+    none), so it is exactly 0.  The chains come in chunks of at most
+    ``_CHUNK_SITES`` sites; each chunk is propagated by one Chebyshev
+    recursion, and its weighted chain elements are added by one dot
+    product.
 
-    Raises ``ParameterError`` for a time that is not finite, and
+    Raises ``ParameterError`` for a time that is not finite or a charge
+    label that is not an integer, and
     ``NumericalError`` where ``|t| R`` needs an order above ``_ORDER_MAX``.
     """
     check_spin_count(n_spins)
     require_finite(t=t)
     source, target = _charge_labels(source, target)
-    total = 0j
-    for chunk in _chunks(chain_batches(params, n_spins, source, target, gaps),
-                         _CHUNK_SITES):
-        total += _weighted_elements(chunk, t)
-    return TransitionElement(source, target, t, total)
+    chunks = chain_batches(params, n_spins, source, target, gaps, _CHUNK_SITES)
+    return TransitionElement(source, target, t,
+                             sum((_weighted_elements(chunk, t) for chunk in chunks), 0j))
 
 
 def _weighted_elements(chunk: ChainBatch, t: float) -> complex:
@@ -400,9 +400,10 @@ def circle_element(params: JunctionParams, source, target, t: float,
     ``n_g`` is the integer charge ``n - 1/2`` with offset ``n_g - 1/2``, so
     both use the integer grid.  The truncation ``_CIRCLE_N_MAX`` is doubled
     once and must agree to 1e-12; a relative charge outside
-    ``|n| <= _CIRCLE_N_MAX`` is a ``ParameterError``, and so is a time that
-    is not finite."""
+    ``|n| <= _CIRCLE_N_MAX`` is a ``ParameterError``, and so are a time that
+    is not finite and a charge label that is not an integer."""
     require_finite(t=t)
+    source, target = _charge_labels(source, target)
     if sum(source) != sum(target):
         return 0j
     n_in = (source[0] - source[1]) / 2.0
@@ -474,11 +475,6 @@ def _check_dyson(n_spins: int, t: float, order: int) -> None:
         raise ParameterError("order must be >= 0")
 
 
-def _dyson_chunks(params, n_spins, source, target, gaps):
-    return _chunks(chain_batches(params, n_spins, source, target, gaps),
-                   _DYSON_CHUNK_SITES)
-
-
 def _dyson_terms(chunk: ChainBatch, t: float, order: int) -> complex:
     """The weighted ``D_K U_0`` elements of a chunk's chains, summed: each
     chain carries its Dyson terms from the source to the target site, all
@@ -495,17 +491,18 @@ def dyson_junction(params: JunctionParams, n_spins: int, t: float, order: int,
     """Elements of the order-K time-ordered perturbative propagator
     ``D_K(t) U_0(t)``, tunneling as the perturbation.
 
-    The batches, one per left table entry, are laid end to end in chunks of
-    at most ``_DYSON_CHUNK_SITES`` sites, and the shared chain recursion
-    runs once per chunk.  Raises ``ParameterError`` for an odd or too small
-    ``n_spins``, a time that is not finite, a negative order or a charge
-    label that is not an integer, before any work.
+    The chains come in chunks of at most ``_DYSON_CHUNK_SITES`` sites, and
+    the shared chain recursion runs once per chunk.  Raises
+    ``ParameterError`` for an odd or too small ``n_spins``, a time that is
+    not finite, a negative order or a charge label that is not an integer,
+    before any work.
     """
     _check_dyson(n_spins, t, order)
     elements = [_charge_labels(source, target) for source, target in elements]
     gaps = _resolve_gaps(params, gaps)
-    return {(source, target): sum((_dyson_terms(chunk, t, order) for chunk in
-                                   _dyson_chunks(params, n_spins, source, target, gaps)), 0j)
+    return {(source, target): sum(
+        (_dyson_terms(chunk, t, order) for chunk in
+         chain_batches(params, n_spins, source, target, gaps, _DYSON_CHUNK_SITES)), 0j)
             for source, target in elements}
 
 
@@ -523,7 +520,8 @@ def dyson_junction_defect(params: JunctionParams, n_spins: int, t: float,
     deviations = {}
     for source, target in elements:
         deviation = 0j
-        for chunk in _dyson_chunks(params, n_spins, source, target, gaps):
+        for chunk in chain_batches(params, n_spins, source, target, gaps,
+                                   _DYSON_CHUNK_SITES):
             deviation += _weighted_elements(chunk, t) - _dyson_terms(chunk, t, order)
         deviations[(source, target)] = abs(deviation)
     return deviations, _dyson_bound(order, 2.0 * abs(params.lam), abs(t))

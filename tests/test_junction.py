@@ -57,7 +57,7 @@ def test_blocks_hermitian_and_diagonal_without_coupling():
             a, b = batch.a[sites], batch.b[sites]
             # the hop (a, b) -> (a+1, b-1) equals its reverse (a+1, b-1) -> (a, b)
             reverse = (hop_scale
-                       * sectors.ladder_coefficient(batch.s_l, a[1:], -1)
+                       * sectors.ladder_coefficient(batch.s_l[c], a[1:], -1)
                        * sectors.ladder_coefficient(batch.s_r[c], b[1:], 1))
             np.testing.assert_allclose(batch.hop[sites.start:sites.stop - 1], reverse,
                                        rtol=1e-14, atol=0)
@@ -124,46 +124,80 @@ def test_element_matches_unpacked_reference(n_spins, source, target):
 
 
 def laid_sites(parts, field):
-    """A site-index field of batches or chunks, as indices into all of their
-    sites laid end to end."""
+    """A site-index field of chunks, as indices into all of their sites laid
+    end to end."""
     offsets = np.cumsum([0] + [part.diag.size for part in parts[:-1]])
     return np.concatenate([getattr(part, field) + o for part, o in zip(parts, offsets)])
 
 
+def reached_entries(layer, n_spins, n, n_p):
+    """The number of table entries of a layer that both charges reach."""
+    s, sz, _ = sectors.thermal_table(layer, n_spins).flat()
+    return np.count_nonzero(sectors.ladder_coefficient(s, sz, n)
+                            * sectors.ladder_coefficient(s, sz, n_p))
+
+
 @pytest.mark.parametrize("source,target", [((0, 0), (1, -1)), ((0, 0), (0, 0))])
 def test_solver_counts_every_chain_site(monkeypatch, source, target):
-    batches = list(junction.chain_batches(PARAMS, 8, source, target, gaps=GAPS))
+    # a one-site bound makes each left table entry a chunk of its own
+    entries = list(junction.chain_batches(PARAMS, 8, source, target, gaps=GAPS, sites=1))
+    assert sum(entry.first.size for entry in entries) == (
+        reached_entries(PARAMS.left, 8, source[0], target[0])
+        * reached_entries(PARAMS.right, 8, source[1], target[1]))
     chunks = []  # every chunk the propagator is given
     propagate = junction._chain_elements
     monkeypatch.setattr(junction, "_chain_elements",
                         lambda chunk, t: chunks.append(chunk) or propagate(chunk, t))
-    want = junction.evolution_element(PARAMS, 8, source, target, 0.7, gaps=GAPS).value
-    # at N = 8 the batches hold 56 to 120 sites: a 100-site bound leaves
-    # some of them chunks of their own
-    for chunk_sites in (junction._CHUNK_SITES, 100):
-        monkeypatch.setattr(junction, "_CHUNK_SITES", chunk_sites)
-        chunks.clear()
-        got = junction.evolution_element(PARAMS, 8, source, target, 0.7, gaps=GAPS).value
-        assert got == pytest.approx(want, rel=1e-15, abs=0)
-        # every chain site once, in order, and no hop from one batch to the next
-        for field in ("diag", "weight"):
+    values = []
+    # at N = 8 the entries hold 56 to 120 sites: a 100-site bound leaves
+    # some of them chunks of their own, and 8192 takes them all
+    for sites in (100, 256, 8192):
+        # the entries' sites are counted in blocks of about _CHUNK_SITES
+        # pairs: at 100 and 256 there are several blocks
+        monkeypatch.setattr(junction, "_CHUNK_SITES", sites)
+        batches = list(junction.chain_batches(PARAMS, 8, source, target, gaps=GAPS,
+                                              sites=sites))
+        # every chain once, in order, and no hop from one chunk to the next
+        for field in ("s_l", "s_r", "weight", "a", "b", "diag"):
             np.testing.assert_array_equal(
-                np.concatenate([getattr(chunk, field) for chunk in chunks]),
-                np.concatenate([getattr(batch, field) for batch in batches]))
+                np.concatenate([getattr(batch, field) for batch in batches]),
+                np.concatenate([getattr(entry, field) for entry in entries]))
         np.testing.assert_array_equal(
-            np.concatenate([np.append(chunk.hop, 0.0) for chunk in chunks]),
-            np.concatenate([np.append(batch.hop, 0.0) for batch in batches]))
+            np.concatenate([np.append(batch.hop, 0.0) for batch in batches]),
+            np.concatenate([np.append(entry.hop, 0.0) for entry in entries]))
         for field in ("first", "start", "end"):
-            np.testing.assert_array_equal(laid_sites(chunks, field), laid_sites(batches, field))
-        for chunk in chunks:
-            # a chunk larger than the bound is a single batch
-            assert chunk.diag.size <= chunk_sites or any(
-                np.array_equal(chunk.diag, batch.diag) for batch in batches)
-        if chunk_sites == 100:
-            assert max(chunk.diag.size for chunk in chunks) > 100
+            np.testing.assert_array_equal(laid_sites(batches, field),
+                                          laid_sites(entries, field))
+        # each chunk is a run of whole entries, as many as fit in the bound:
+        # it is larger only if it is one entry, and the next entry would
+        # not have fitted
+        taken = 0
+        for batch in batches:
+            run = taken + 1
+            while run < len(entries) and sum(
+                    entry.first.size for entry in entries[taken:run]) < batch.first.size:
+                run += 1
+            assert sum(entry.diag.size for entry in entries[taken:run]) == batch.diag.size
+            assert batch.diag.size <= sites or run == taken + 1
+            if run < len(entries):
+                assert batch.diag.size + entries[run].diag.size > sites
+            taken = run
+        assert taken == len(entries)
+        if sites == 100:
+            assert max(batch.diag.size for batch in batches) > 100
+        # the element propagates exactly these chunks
+        chunks.clear()
+        values.append(junction.evolution_element(PARAMS, 8, source, target, 0.7,
+                                                 gaps=GAPS).value)
+        assert [chunk.diag.size for chunk in chunks] == [batch.diag.size for batch in batches]
+        assert values[-1] == sum((junction._weighted_elements(batch, 0.7)
+                                  for batch in batches), 0j)
+    # another grouping scales and sums the chains otherwise, to rounding
+    for value in values[:-1]:
+        assert value == pytest.approx(values[-1], rel=1e-15, abs=0)
 
 
-def test_packs_match_chain_by_chain_exponential():
+def test_recursion_matches_chain_by_chain_exponential():
     # one recursion over chains of very different lengths, a one-site chain
     # among them and one at the end
     rng = np.random.default_rng(3)
@@ -175,8 +209,10 @@ def test_packs_match_chain_by_chain_exponential():
     start = first + np.array([rng.integers(n) for n in length])
     end = first + np.array([rng.integers(n) for n in length])
     # the sector and charge labels are not read by the propagation
-    batch = junction.ChainBatch(s_l=None, s_r=None, weight=None, a=None, b=None,
-                                diag=diag, hop=hop, first=first, start=start, end=end)
+    labels, site_labels = np.zeros(length.size), np.zeros(diag.size)
+    batch = junction.ChainBatch(s_l=labels, s_r=labels, weight=labels, a=site_labels,
+                                b=site_labels, diag=diag, hop=hop, first=first,
+                                start=start, end=end)
     got = junction._chain_elements(batch, 0.9)
     for c, sites in enumerate(chain_sites(batch)):
         inner = hop[sites.start:sites.stop - 1]
@@ -276,10 +312,13 @@ def test_charge_violating_elements_vanish_exactly():
 
 
 @pytest.mark.parametrize("source,target", [((0, 0), (0.5, -0.5)), ((0.5, 0), (0, 0.5)),
-                                           ((0, math.nan), (0, 0)), ((0, 0), (math.inf, 0))])
+                                           ((0, math.nan), (0, 0)), ((0, 0), (math.inf, 0)),
+                                           ((0, 0), (1, 1.5))])
 def test_non_integer_charge_label_rejected(source, target):
     calls = [
+        lambda: list(junction.chain_batches(PARAMS, 4, source, target, gaps=GAPS)),
         lambda: junction.evolution_element(PARAMS, 4, source, target, 0.3, gaps=GAPS),
+        lambda: junction.circle_element(PARAMS, source, target, 0.3, gaps=GAPS),
         lambda: junction.dyson_junction(PARAMS, 4, 0.3, 2, [(source, target)], gaps=GAPS),
         lambda: junction.dyson_junction_defect(PARAMS, 4, 0.3, 2, [(source, target)],
                                                gaps=GAPS),
