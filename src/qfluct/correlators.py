@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormalPhaseError, ParameterError
+from .errors import NormalPhaseError, ParameterError, require_finite
 from .fitting import MIN_POINTS, PowerLawFit, fit_power_law
 from .gap import GapSolution
 from .sectors import ModelParams, check_spin_count, eta, thermal_table
@@ -61,6 +61,7 @@ class WordFactor:
     m: int
 
     def __post_init__(self):
+        require_finite(alpha=self.alpha)
         if self.n < 0 or self.m < 0:
             raise ParameterError("ladder powers must be non-negative")
 
@@ -119,29 +120,27 @@ def _require_gap(gap: GapSolution) -> float:
     return gap.delta
 
 
-def _ladder_walk(s: np.ndarray, sz: np.ndarray, word: FluctuationWord):
+def _ladder_walk(s: np.ndarray, sz: np.ndarray, word: FluctuationWord) -> np.ndarray:
     """Vectorized ladder walk of a word over all sectors, rightmost factor
-    first.  Returns ``(log_amp, alive)``: the accumulated log of the ladder
-    coefficients along the walk, and a mask of walks that never left
-    ``[-s, s]``.
+    first.  Returns the sum of ``log c^2 = log(s(s+1) - cur (cur + step))``
+    along each walk: ``-inf`` once the walk leaves ``[-s, s]`` (``c^2 <= 0``),
+    so that its term ``exp(...)`` is exactly 0.
     """
     cur = sz.copy()
-    log_amp = np.zeros_like(cur)
-    alive = np.ones(cur.shape, dtype=bool)
+    log_sq = np.zeros_like(cur)
     s2 = s * (s + 1.0)
     # a walk survives a run of `count` steps in one direction only if
     # count <= 2s, so a longer run kills every walk
     longest_run = 2.0 * np.max(s, initial=0.0)
-    for factor in reversed(word.factors):
-        for count, step in ((factor.m, 1.0), (factor.n, -1.0)):
-            if count > longest_run:
-                return log_amp, np.zeros_like(alive)
-            for _ in range(count):
-                c2 = s2 - cur * (cur + step)
-                alive &= c2 > 0.0
-                log_amp += 0.5 * np.log(np.where(c2 > 0.0, c2, 1.0))
-                cur += step
-    return log_amp, alive
+    with np.errstate(divide="ignore"):
+        for factor in reversed(word.factors):
+            for count, step in ((factor.m, 1.0), (factor.n, -1.0)):
+                if count > longest_run:
+                    return np.full_like(cur, -np.inf)
+                for _ in range(count):
+                    log_sq += np.log(np.maximum(s2 - cur * (cur + step), 0.0))
+                    cur += step
+    return log_sq
 
 
 def correlation_finite_n(params: ModelParams, n_spins: int, word: FluctuationWord,
@@ -164,10 +163,9 @@ def correlation_finite_n(params: ModelParams, n_spins: int, word: FluctuationWor
         return prediction
 
     s, sz, log_w = thermal_table(params, n_spins).flat()
-    log_amp, alive = _ladder_walk(s, sz, word)
+    walk = _ladder_walk(s, sz, word)
     log_scale = total * math.log(c * n_spins)
-    terms = np.where(alive, np.exp(log_w + log_amp - log_scale), 0.0)
-    return prediction * float(np.sum(terms))
+    return prediction * float(np.sum(np.exp(log_w + 0.5 * walk - log_scale)))
 
 
 @dataclass(frozen=True)
@@ -238,6 +236,7 @@ def single_layer_evolution_element(params: ModelParams, n_spins: int, n: int,
     the chemical-potential phase ``exp(-2 i mu t m)``.
     """
     check_spin_count(n_spins)
+    require_finite(t=t)
     if n < 0 or m < 0:
         raise ParameterError("excitation numbers must be non-negative")
     c = _require_gap(gap)
@@ -248,12 +247,12 @@ def single_layer_evolution_element(params: ModelParams, n_spins: int, n: int,
 
     s, sz, log_w = thermal_table(params, n_spins).flat()
     word = FluctuationWord.from_triples([(0.0, 0, m)])
-    log_amp, alive = _ladder_walk(s, sz, word)
+    walk = _ladder_walk(s, sz, word)
 
     d_eta = eta(params, n_spins, s, sz + m) - eta(params, n_spins, s, sz)
 
     log_scale = 2.0 * m * math.log(c * n_spins)
-    amps = np.where(alive, np.exp(log_w + 2.0 * log_amp - log_scale), 0.0)
+    amps = np.exp(log_w + walk - log_scale)
     total = complex(np.sum(amps * np.exp(-1j * t * d_eta)))
     return cmath.exp(-2j * params.mu * t * m) * total
 
@@ -269,6 +268,7 @@ def w_expectation(params: ModelParams, n_spins: int, m: int, t: float) -> comple
     ``eps / (2 T_c)``, so the expectation approaches 1.
     """
     check_spin_count(n_spins)
+    require_finite(t=t)
     if m == 0 or t == 0.0:
         return 1.0 + 0.0j
     _, sz, log_w = thermal_table(params, n_spins).flat()
@@ -283,8 +283,6 @@ def pair_expectation(params: ModelParams, n_spins: int) -> float:
     check_spin_count(n_spins)
     s, sz, log_w = thermal_table(params, n_spins).flat()
     pair = s * (s + 1.0) - sz * (sz - 1.0)
-    # pair >= 0; accumulate in the log domain against the weights
-    safe = np.where(pair > 0.0, pair, 1.0)
-    terms = np.where(pair > 0.0,
-                     np.exp(log_w + np.log(safe) - 2.0 * math.log(n_spins)), 0.0)
-    return float(np.sum(terms))
+    # pair >= 0; accumulate in the log domain against the weights (log 0 = -inf)
+    with np.errstate(divide="ignore"):
+        return float(np.sum(np.exp(log_w + np.log(pair) - 2.0 * math.log(n_spins))))

@@ -1,10 +1,11 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
 
 from qfluct import correlators, dense, gap, sectors
-from qfluct.errors import NormalPhaseError, ParityError
+from qfluct.errors import NormalPhaseError, ParameterError, ParityError
 from qfluct.fitting import fit_power_law
 
 PARAMS = sectors.ModelParams(epsilon=0.3, t_c=1.0, beta=1.6, mu=0.2)
@@ -49,6 +50,21 @@ def test_phase_is_finite_when_the_alphas_sum_past_float_range():
     pair = correlators.correlation_finite_n(PARAMS, 8, word([[0.0, 1, 1]]), SOL)
     assert correlators.correlation_finite_n(PARAMS, 8, huge, SOL) == pytest.approx(
         pair, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_non_finite_alpha_rejected(alpha):
+    with pytest.raises(ParameterError):
+        correlators.WordFactor(alpha, 1, 0)
+    with pytest.raises(ParameterError):
+        word([[0.0, 0, 1], [alpha, 1, 0]])
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_word_whose_every_walk_dies_is_exactly_zero(n):
+    # 2s <= N/2 < 5 in every sector, so every walk leaves [-s, s]: its
+    # log-amplitude is -inf and its term exp(-inf) is exactly 0
+    assert correlators.correlation_finite_n(PARAMS, n, word([[0.0, 5, 5]]), SOL) == 0j
 
 
 def test_unbalanced_words_vanish_exactly():
@@ -190,7 +206,7 @@ def test_evolution_element_off_diagonal_zero_and_dense():
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])  # at N = 2 every walk of m = 3 dies
 def test_evolution_element_matches_dense(n, m):
     fast = correlators.single_layer_evolution_element(PARAMS, n, m, m, 0.8, SOL)
     slow = dense.dense_evolution_element(PARAMS, n, m, m, 0.8, SOL)
@@ -204,6 +220,17 @@ def test_evolution_element_approaches_chemical_potential_phase():
     errs = [abs(correlators.single_layer_evolution_element(params, n, 1, 1, 1.0, sol)
                 - target) for n in (64, 256, 1024)]
     assert errs[0] > errs[1] > errs[2]
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_rejected(t):
+    # checked before the early returns of n != m, m = 0 and t = 0
+    for n, m in ((1, 1), (1, 2), (0, 0)):
+        with pytest.raises(ParameterError):
+            correlators.single_layer_evolution_element(PARAMS, 4, n, m, t, SOL)
+    for m in (0, 1):
+        with pytest.raises(ParameterError):
+            correlators.w_expectation(PARAMS, 4, m, t)
 
 
 def test_w_expectation_trivial_cases():
@@ -225,6 +252,16 @@ def test_w_expectation_approaches_one():
             for n in (64, 256, 1024)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[-1] < 5e-3
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_pair_expectation_matches_dense(n):
+    # <S_+ S_-> / N^2 is the word E_+ E_- times the squared gap; the lowest
+    # entry s_z = -s of every sector has pair = 0 and adds exactly 0
+    slow = dense.dense_correlation(PARAMS, n, word([[0.0, 0, 1], [0.0, 1, 0]]), SOL)
+    assert correlators.pair_expectation(PARAMS, n) == pytest.approx(
+        slow.real * SOL.delta**2, abs=1e-12)
+    assert slow.imag == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pair_expectation_approaches_squared_gap():
