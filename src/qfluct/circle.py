@@ -11,8 +11,8 @@ shifts, and the Hamiltonian
 is tridiagonal.  A half-integer charge grid (the junction's relative
 coordinate at odd total charge) needs no grid of its own: ``n + 1/2``
 with offset charge ``n_g`` is ``n`` with ``n_g - 1/2``.  Truncation is a
-hard cutoff (shifted-out amplitude is dropped); every spectral or dynamical
-query can be checked by doubling the window.
+hard cutoff (shifted-out amplitude is dropped); the spectrum and the
+evolution bound what it costs from the window's own eigendecomposition.
 
 Sign convention: the cosine enters with the sign of ``E_J`` as configured.
 The positive sign is the one the junction derivation produces for positive
@@ -83,9 +83,6 @@ class ChargeBasisTruncation:
             raise ParameterError(f"charge {n} not on the truncated grid")
         return int(round(idx))
 
-    def doubled(self) -> "ChargeBasisTruncation":
-        return ChargeBasisTruncation(2 * self.n_max)
-
 
 def build_weyl(trunc: ChargeBasisTruncation, k: int) -> np.ndarray:
     """Shift matrix for exp(i k phi): |n> -> |n+k>, amplitudes shifted past
@@ -117,26 +114,38 @@ class SpectrumResult:
 
 
 def spectrum(params: CircuitParams, trunc: ChargeBasisTruncation, k: int) -> SpectrumResult:
-    """Lowest ``k`` eigenvalues, with an automatic window-doubling check:
-    ``converged`` is set when doubling n_max moves every requested level by
-    less than 1e-10 relative to the overall spectral scale."""
+    """Lowest ``k`` window levels; ``max_rel_shift`` bounds how far they lie
+    above the circle's, relative to their largest modulus (``converged``:
+    below 1e-10).  Interlacing puts them above; the window less (E_J/2)^2 /
+    (d - top level) on each edge, d the outside's Gershgorin floor, has
+    levels below them (Haynsworth inertia).  Inf if a floor d <= top level."""
     if not 1 <= k <= trunc.dim:
         raise ParameterError(f"requested {k} levels from a {trunc.dim}-dim basis")
-    small = np.linalg.eigvalsh(build_hamiltonian(params, trunc))[:k]
-    big_trunc = trunc.doubled()
-    big = np.linalg.eigvalsh(build_hamiltonian(params, big_trunc))[:k]
-    scale = max(float(np.max(np.abs(big))), 1e-300)
-    shift = float(np.max(np.abs(small - big))) / scale
-    return SpectrumResult(energies=big, converged=shift < 1e-10, max_rel_shift=shift)
+    h = build_hamiltonian(params, trunc)
+    window = np.linalg.eigvalsh(h)[:k]
+    top, hop = window[-1], abs(params.e_j) / 2
+    floors = params.e_c * (trunc.n_max + 1 + np.array([1.0, -1.0]) * params.n_g) ** 2 - 2 * hop
+    if top >= floors.min():
+        return SpectrumResult(energies=window, converged=False, max_rel_shift=np.inf)
+    h[[0, -1], [0, -1]] -= hop * (hop / (floors - top))
+    shift = max(np.max(window - np.linalg.eigvalsh(h)[:k]) / max(-window[0], top, 1e-300), 0.0)
+    return SpectrumResult(energies=window, converged=shift < 1e-10, max_rel_shift=shift)
+
+
+def _evolution(params: CircuitParams, trunc: ChargeBasisTruncation, t: float):
+    """``exp(-i t h)`` on the window and, by Duhamel's formula, each column's error bound
+    (|E_J| t / 2) sum_k (|v_k(-n_max)| + |v_k(n_max)|) |v_k(n)| over the eigenvectors v_k."""
+    require_finite(t=t)
+    evals, vecs = eigh(build_hamiltonian(params, trunc))
+    leak = abs(params.e_j * t) / 2 * (np.abs(vecs) @ (np.abs(vecs[0]) + np.abs(vecs[-1])))
+    return (vecs * np.exp(-1j * t * evals)) @ vecs.T, leak
 
 
 def propagator(params: CircuitParams, trunc: ChargeBasisTruncation, t: float) -> np.ndarray:
-    """Exact evolution operator ``exp(-i t h)`` on the truncated basis, by
-    eigendecomposition; unitary to rounding.  A time that is not finite is
-    a ``ParameterError``."""
-    require_finite(t=t)
-    evals, vecs = eigh(build_hamiltonian(params, trunc))
-    return (vecs * np.exp(-1j * t * evals)) @ vecs.T
+    """Evolution operator ``exp(-i t h)`` on the window by eigendecomposition,
+    unitary to rounding; ``_evolution`` bounds each column's truncation error.
+    A time that is not finite is a ``ParameterError``."""
+    return _evolution(params, trunc, t)[0]
 
 
 def dyson_circle(params: CircuitParams, trunc: ChargeBasisTruncation, t: float,
@@ -203,6 +212,7 @@ def phase_peaked_state(trunc: ChargeBasisTruncation, phi_bar: float,
     ``<e^{i phi}>`` tends to ``e^{i phi_bar}``.  Packets needing more charge
     states than the window provides are rejected.
     """
+    require_finite(phi_bar=phi_bar, width=width)
     if width <= 0:
         raise ParameterError("width must be positive")
     if 4.0 / width > trunc.n_max:

@@ -249,9 +249,8 @@ def cmd_circle(c: dict):
     def converged_spectrum(circuit):
         result = circle.spectrum(circuit, trunc, levels)
         if not result.converged:
-            raise TruncationError(
-                f"spectrum at n_g={circuit.n_g!r} not converged under window "
-                f"doubling (max relative shift {result.max_rel_shift:.3e})")
+            raise TruncationError(f"spectrum at n_g={circuit.n_g!r} not converged: relative "
+                                  f"truncation bound {result.max_rel_shift:.3e}")
         return result.energies
 
     energies = converged_spectrum(params)

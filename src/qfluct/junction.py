@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import ChargeBasisTruncation, CircuitParams, propagator
+from .circle import ChargeBasisTruncation, CircuitParams, _evolution
 from .errors import (NormalPhaseError, NumericalError, ParameterError, TruncationError,
                      require_finite)
 from .gap import josephson_energy, solve_gap
@@ -387,7 +387,7 @@ def _weighted_elements(chunk: ChainBatch, t: float) -> complex:
     return complex(np.dot(chunk.weight, _chain_elements(chunk, t)))
 
 
-# charge window of the circle comparator before its doubling check
+# charge window of the circle comparator, whose leak bound must stay below 1e-12
 _CIRCLE_N_MAX = 24
 
 
@@ -398,16 +398,15 @@ def circle_element(params: JunctionParams, source, target, t: float,
     ``2 lambda c_L c_R``.  It is an integer for an even total charge and a
     half-integer for an odd one; a half-integer charge ``n`` with offset
     ``n_g`` is the integer charge ``n - 1/2`` with offset ``n_g - 1/2``, so
-    both use the integer grid.  The truncation ``_CIRCLE_N_MAX`` is doubled
-    once and must agree to 1e-12; a relative charge outside
-    ``|n| <= _CIRCLE_N_MAX`` is a ``ParameterError``, and so are a time that
-    is not finite and a charge label that is not an integer."""
+    both use the integer grid.  The source column's leak bound out of the
+    window ``|n| <= _CIRCLE_N_MAX`` above 1e-12 is a ``TruncationError``; a
+    relative charge outside it is a ``ParameterError``, and so are a time
+    that is not finite and a charge label that is not an integer."""
     require_finite(t=t)
     source, target = _charge_labels(source, target)
     if sum(source) != sum(target):
         return 0j
-    n_in = (source[0] - source[1]) / 2.0
-    n_out = (target[0] - target[1]) / 2.0
+    n_in, n_out = (source[0] - source[1]) / 2.0, (target[0] - target[1]) / 2.0
     if max(abs(n_in), abs(n_out)) > _CIRCLE_N_MAX:
         raise ParameterError(
             f"element {list(source)} -> {list(target)}: the circle comparator "
@@ -415,23 +414,15 @@ def circle_element(params: JunctionParams, source, target, t: float,
             f"got {n_in:g} -> {n_out:g}")
     gl, gr = _resolve_gaps(params, gaps)
     shift = 0.0 if sum(source) % 2 == 0 else 0.5
-    circuit = CircuitParams(
-        e_c=params.e_c, e_j=josephson_energy(params.lam, gl.delta, gr.delta),
-        n_g=params.n_g - shift,
-    )
-
-    def one(n_max_):
-        trunc = ChargeBasisTruncation(n_max_)
-        u = propagator(circuit, trunc, t)
-        return complex(u[trunc.index_of(n_out - shift), trunc.index_of(n_in - shift)])
-
-    small, big = one(_CIRCLE_N_MAX), one(2 * _CIRCLE_N_MAX)
-    if abs(small - big) > 1e-12:
-        raise TruncationError(
-            f"circle comparator not converged at n_max={_CIRCLE_N_MAX}: "
-            f"doubling moved the element by {abs(small - big):.3e}"
-        )
-    return big
+    circuit = CircuitParams(params.e_c, josephson_energy(params.lam, gl.delta, gr.delta),
+                            params.n_g - shift)
+    trunc = ChargeBasisTruncation(_CIRCLE_N_MAX)
+    u, leak = _evolution(circuit, trunc, t)
+    col = trunc.index_of(n_in - shift)
+    if leak[col] > 1e-12:
+        raise TruncationError(f"circle comparator not converged at n_max={_CIRCLE_N_MAX}: "
+                              f"the window may move the element by up to {leak[col]:.3e}")
+    return complex(u[trunc.index_of(n_out - shift), col])
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,47 @@ def test_spectrum_non_convergence_flag():
     for k in (0, -1, trunc.dim + 1):
         with pytest.raises(ParameterError):
             circle.spectrum(params, trunc, k)
+
+
+@pytest.mark.parametrize("e_j", [0.0, 0.2, 0.5, 2.0, -3.0])
+@pytest.mark.parametrize("e_c", [1.0, 0.3])
+def test_spectrum_bound_covers_wide_window(e_c, e_j):
+    # the window levels theta_j lie above the levels lambda_j of a window
+    # four times as wide, by at most the bound, both to rounding of the
+    # wide solve
+    for n_g in (0.0, 0.25, 0.5, 1.0):
+        params = circle.CircuitParams(e_c, e_j, n_g)
+        for n_max in (2, 3, 4, 6, 8, 16):
+            trunc = circle.ChargeBasisTruncation(n_max)
+            h_wide = circle.build_hamiltonian(params, circle.ChargeBasisTruncation(4 * n_max))
+            wide = np.linalg.eigvalsh(h_wide)
+            slack = 1e-13 * np.max(np.sum(np.abs(h_wide), axis=1))
+            for k in (1, 5, trunc.dim):
+                res = circle.spectrum(params, trunc, k)
+                scale = np.max(np.abs(res.energies))
+                excess = res.energies - wide[:k]
+                assert np.all(excess >= -slack)
+                assert np.all(excess <= res.max_rel_shift * scale + slack)
+
+
+def test_spectrum_flags_level_missing_from_window():
+    # without coupling the window holds (n - 1)^2 = 0, 1, 1, 4, 9, but the
+    # outside charge n = 3 has energy 4 < 9, so the fifth level is 4
+    res = circle.spectrum(circle.CircuitParams(1.0, 0.0, 1.0), circle.ChargeBasisTruncation(2), 5)
+    assert res.energies[-1] == 9.0
+    assert not res.converged
+    assert res.max_rel_shift == math.inf
+
+
+@pytest.mark.parametrize("e_c,e_j", [(1.0, 1e200), (1.0, -1e200), (1e200, 0.2), (1e200, 1e200)])
+def test_spectrum_bound_on_extreme_circuits(e_c, e_j):
+    for n_max in (2, 16):
+        trunc = circle.ChargeBasisTruncation(n_max)
+        for k in (1, trunc.dim):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = circle.spectrum(circle.CircuitParams(e_c, e_j, 0.25), trunc, k)
+            assert res.max_rel_shift >= 0
 
 
 def test_evolution_identity_and_unitarity():
@@ -255,6 +297,13 @@ def test_phase_peaked_state_properties():
 
     with pytest.raises(TruncationError):
         circle.phase_peaked_state(circle.ChargeBasisTruncation(8), 0.0, 0.01)
+
+
+@pytest.mark.parametrize("phi_bar,width", [(0.0, math.nan), (math.nan, 0.5),
+                                           (math.inf, 0.5), (0.0, math.inf)])
+def test_phase_peaked_state_rejects_non_finite(phi_bar, width):
+    with pytest.raises(ParameterError):
+        circle.phase_peaked_state(circle.ChargeBasisTruncation(8), phi_bar, width)
 
 
 def test_current_on_phase_peaked_state():

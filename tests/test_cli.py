@@ -145,8 +145,8 @@ def test_circle_truncation_failure_exit(tmp_path):
 
 
 def test_circle_unconverged_dispersion_point_exit(tmp_path, capsys):
-    # the configured n_g = 0 converges (shift 4.9e-12); the dispersion point
-    # n_g = 1.0 moves by 1.4e-8 relative when the window doubles
+    # the configured n_g = 0 converges (truncation bound 5.0e-12); at the
+    # dispersion point n_g = 1.0 the bound is 1.5e-8 relative
     code, out = run(tmp_path, "circle", {"e_c": 1, "e_j": 0.5, "n_max": 4, "levels": 2,
                                          "dispersion_points": 2, "packet_width": 1.0})
     assert code == 4

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from qfluct import circle, correlators, dense, gap, junction, quadrature, sectors
-from qfluct.errors import NormalPhaseError, NumericalError, ParameterError
+from qfluct.errors import NormalPhaseError, NumericalError, ParameterError, TruncationError
 
 PARAMS = junction.JunctionParams(
     left=sectors.ModelParams(epsilon=0.2, t_c=1.0, beta=2.0),
@@ -396,6 +396,32 @@ def test_circle_comparator_free_limit():
         == pytest.approx(0.0, abs=1e-10)
     assert junction.circle_element(free, (1, -1), (1, -1), 2.3, gaps=GAPS) \
         == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("t", [0.3, 3.0, 30.0, 80.0])
+def test_circle_leak_bound_covers_wider_window(t):
+    # each column of the n_max = 24 evolution, zero outside its window, lies
+    # within its leak bound of the same column at n_max = 96, to rounding of
+    # the wide solve's phases t * energy
+    narrow, wide = circle.ChargeBasisTruncation(24), circle.ChargeBasisTruncation(96)
+    inner = slice(96 - 24, 96 + 25)
+    comparator = circle.CircuitParams(
+        PARAMS.e_c, gap.josephson_energy(PARAMS.lam, GAPS[0].delta, GAPS[1].delta), PARAMS.n_g)
+    for params in (comparator, circle.CircuitParams(1.0, 2.0, 0.5),
+                   circle.CircuitParams(0.1, 3.0, 0.0), circle.CircuitParams(0.05, 18.3, 0.2)):
+        u, leak = circle._evolution(params, narrow, t)
+        big = circle.propagator(params, wide, t)
+        h_wide = circle.build_hamiltonian(params, wide)
+        slack = 4 * np.finfo(float).eps * (1 + t * np.max(np.sum(np.abs(h_wide), axis=1)))
+        big[inner, inner] -= u
+        assert np.all(np.linalg.norm(big[:, inner], axis=0) <= leak + slack)
+
+
+def test_circle_comparator_rejects_leaking_window():
+    # amplitude on the window edge n = 24 leaks out at once: the leak bound
+    # is 5.5e-2, and doubling the window moves the element by 3.7e-4
+    with pytest.raises(TruncationError):
+        junction.circle_element(PARAMS, (24, -24), (24, -24), 0.3, gaps=GAPS)
 
 
 def test_meso_compare_trend():
