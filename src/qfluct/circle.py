@@ -118,16 +118,18 @@ def spectrum(params: CircuitParams, trunc: ChargeBasisTruncation, k: int) -> Spe
     above the circle's, relative to their largest modulus (``converged``:
     below 1e-10).  Interlacing puts them above; the window less (E_J/2)^2 /
     (d - top level) on each edge, d the outside's Gershgorin floor, has
-    levels below them (Haynsworth inertia).  Inf if a floor d <= top level."""
+    levels below them (Haynsworth inertia).  Inf if a floor d < top level,
+    or d = top level and E_J != 0 (at E_J = 0 the window is exact)."""
     if not 1 <= k <= trunc.dim:
         raise ParameterError(f"requested {k} levels from a {trunc.dim}-dim basis")
     h = build_hamiltonian(params, trunc)
     window = np.linalg.eigvalsh(h)[:k]
     top, hop = window[-1], abs(params.e_j) / 2
     floors = params.e_c * (trunc.n_max + 1 + np.array([1.0, -1.0]) * params.n_g) ** 2 - 2 * hop
-    if top >= floors.min():
+    if top > floors.min() or (hop and top == floors.min()):
         return SpectrumResult(energies=window, converged=False, max_rel_shift=np.inf)
-    h[[0, -1], [0, -1]] -= hop * (hop / (floors - top))
+    if hop:
+        h[[0, -1], [0, -1]] -= hop * (hop / (floors - top))
     shift = max(np.max(window - np.linalg.eigvalsh(h)[:k]) / max(-window[0], top, 1e-300), 0.0)
     return SpectrumResult(energies=window, converged=shift < 1e-10, max_rel_shift=shift)
 
@@ -164,8 +166,9 @@ def dyson_circle(params: CircuitParams, trunc: ChargeBasisTruncation, t: float,
 
     holds on the truncated space verbatim.
 
-    Memory is O(q dim^2) per order for q quadrature nodes, q ~ E_C n_max t:
-    about 0.4 GB per array at n_max=64, E_C=1, t=10 (from the shapes).
+    The one chain is one quadrature block, so memory is O(q dim^2) for q
+    nodes, q ~ E_C n_max t: about 0.4 GB per array at n_max=64, E_C=1,
+    t=10 (from the shapes).
     """
     if order < 0:
         raise ParameterError("order must be >= 0")

@@ -15,8 +15,9 @@ at most ``_CHUNK_SITES`` sites, one vectorized pass each: the chains of
 consecutive left table entries ``(s_L, sz_L0)``, laid end to end (a
 chain's last hop is exactly zero, so no amplitude crosses from one chain
 to the next).  Each chunk is propagated by one real Chebyshev recursion
-over its flat arrays.  No array spans every entry pair: a chunk holds a
-few vectors of its sites.
+over its flat arrays, and its Dyson terms by one ``chain_dyson`` call,
+which takes it in blocks of whole chains.  No array spans every entry
+pair: a chunk holds a few vectors of its sites.
 The recursion's order, and so its cost, grows linearly with ``|t| R``, the
 time times the largest Gershgorin half-width of a chunk's chains (R is
 about 80 at N = 20): there it is 4-5 times faster than a tridiagonal
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -113,11 +113,8 @@ class TransitionElement:
     value: complex
 
 
-# most sites of one Chebyshev recursion, unless one left entry has more
+# most sites of a chunk of chains, unless one left entry has more
 _CHUNK_SITES = 2**13
-# most sites of one Dyson quadrature: it holds a few (nodes, sites) arrays
-# per chunk, so larger chunks raise the peak memory
-_DYSON_CHUNK_SITES = 2**8
 # highest order of one Chebyshev recursion (the order grows as |t| R)
 _ORDER_MAX = 2**14
 # a-priori bound on the Chebyshev terms left out of one chain element
@@ -297,6 +294,19 @@ def _bessel_j(x: float, order: int) -> list:
     return [v / norm for v in values]
 
 
+def _quotient(a: float, b: float):
+    """``x = a / b`` and the remainder ``a / b - x``, rounded (a unit off at
+    most, below the normal range): Dekker's exact product (Numer. Math. 18,
+    224 (1971)) on the mantissas, where no split overflows or underflows."""
+    x = a / b
+    (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
+    m = math.ldexp(x, eb - ea)  # about ma / mb: x scaled by a power of two
+    mh, bh = (v * 134217729.0 - (v * 134217729.0 - v) for v in (m, mb))  # Veltkamp
+    p = m * mb
+    error = ((mh * bh - p) + mh * (mb - bh) + (m - mh) * bh) + (m - mh) * (mb - bh)
+    return x, math.ldexp(((ma - p) - error) / mb, ea - eb)
+
+
 def _chain_elements(batch: ChainBatch, t: float) -> np.ndarray:
     """``<end| exp(-i t H_c) |start>`` of every chain ``c`` of a chunk, by
     one real Chebyshev recursion over its flat arrays (Tal-Ezer & Kosloff,
@@ -328,9 +338,8 @@ def _chain_elements(batch: ChainBatch, t: float) -> np.ndarray:
     # exactly: x is a float plus a rounding remainder, which the
     # coefficients take to first order, J_k' = (J_{k-1} - J_{k+1}) / 2
     twice = 2.0 / scale
-    x = 2.0 * abs(t) / twice
+    x, remainder = _quotient(2.0 * abs(t), twice)
     order = _chebyshev_order(x)
-    remainder = float(Fraction(2.0 * abs(t)) / Fraction(twice) - Fraction(x))
     bessel = _bessel_j(x, order + 1) if order else [1.0, 0.0]
     bessel = [bessel[0] - remainder * bessel[1]] + [
         bessel[k] + 0.5 * remainder * (bessel[k - 1] - bessel[k + 1])
@@ -482,8 +491,8 @@ def dyson_junction(params: JunctionParams, n_spins: int, t: float, order: int,
     """Elements of the order-K time-ordered perturbative propagator
     ``D_K(t) U_0(t)``, tunneling as the perturbation.
 
-    The chains come in chunks of at most ``_DYSON_CHUNK_SITES`` sites, and
-    the shared chain recursion runs once per chunk.  Raises
+    The chains come in the chunks of ``evolution_element``, and the shared
+    chain recursion runs once per chunk.  Raises
     ``ParameterError`` for an odd or too small ``n_spins``, a time that is
     not finite, a negative order or a charge label that is not an integer,
     before any work.
@@ -493,7 +502,7 @@ def dyson_junction(params: JunctionParams, n_spins: int, t: float, order: int,
     gaps = _resolve_gaps(params, gaps)
     return {(source, target): sum(
         (_dyson_terms(chunk, t, order) for chunk in
-         chain_batches(params, n_spins, source, target, gaps, _DYSON_CHUNK_SITES)), 0j)
+         chain_batches(params, n_spins, source, target, gaps, _CHUNK_SITES)), 0j)
             for source, target in elements}
 
 
@@ -502,17 +511,16 @@ def dyson_junction_defect(params: JunctionParams, n_spins: int, t: float,
     """Per-element deviation |exact - D_K U_0| together with the factorial
     bound (2 lambda)^{K+1} t^{K+1} / (K+1)! that holds uniformly in N.
 
-    Each element's chains are built once: every chunk of
-    ``dyson_junction`` is also propagated exactly, as in
-    ``evolution_element``.  It raises as ``dyson_junction`` does."""
+    Each element's chains are built once: every chunk is propagated
+    exactly, as in ``evolution_element``, and its Dyson terms are taken as
+    in ``dyson_junction``.  It raises as ``dyson_junction`` does."""
     _check_dyson(n_spins, t, order)
     elements = [_charge_labels(source, target) for source, target in elements]
     gaps = _resolve_gaps(params, gaps)
     deviations = {}
     for source, target in elements:
         deviation = 0j
-        for chunk in chain_batches(params, n_spins, source, target, gaps,
-                                   _DYSON_CHUNK_SITES):
+        for chunk in chain_batches(params, n_spins, source, target, gaps, _CHUNK_SITES):
             deviation += _weighted_elements(chunk, t) - _dyson_terms(chunk, t, order)
         deviations[(source, target)] = abs(deviation)
     return deviations, _dyson_bound(order, 2.0 * abs(params.lam), abs(t))

@@ -18,6 +18,9 @@ gives each integrand's top Legendre coefficients, whose size estimates what
 the node count leaves out (Trefethen, Approximation Theory and
 Approximation Practice, ch. 8): a node count is evaluated once and
 accepted when that tail is small enough, and doubled only when it is not.
+The sites go in blocks of whole chains, ``_BLOCK_ENTRIES`` entries per
+(nodes, sites, columns) array, so memory is bounded per block; the real
+maps act on the float view of the complex integrand, one real product each.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ _Q_MAX = 4096    # no node count above this is tried
 # a node count is accepted once the two top Legendre coefficients of every
 # order's integrand, times t / 2, sum to <= _TOL * max(1, |result|)
 _TOL = 1e-10
+# most complex entries of one (nodes, sites, E) array of a block of chains
+_BLOCK_ENTRIES = 2**13
 
 
 @lru_cache(maxsize=16)
@@ -56,6 +61,17 @@ def _operators(q: int):
     return nodes, at_nodes, at_end[0], coef_from_values[-2:].copy()
 
 
+def _blocks(hop, limit: int):
+    """``(lo, hi)`` site ranges of whole chains (no path crosses a zero hop):
+    as many as fit in ``limit`` sites, or one longer chain."""
+    ends, lo = np.append(np.flatnonzero(hop == 0.0) + 1, hop.size + 1), 0
+    while lo < ends[-1]:
+        i = max(np.searchsorted(ends, lo + limit, "right") - 1,  # the last chain that fits
+                np.searchsorted(ends, lo, "right"))              # or the next one alone
+        yield lo, ends[i]
+        lo = ends[i]
+
+
 def chain_dyson(diag, hop, start, seed, t: float, order: int) -> np.ndarray:
     """``sum_{m <= order} (-i)^m`` times the order-m Dyson term from the
     ``start`` sites to the end amplitudes ``seed``, shape ``(sites, E)``.
@@ -65,6 +81,11 @@ def chain_dyson(diag, hop, start, seed, t: float, order: int) -> np.ndarray:
     leaves its chain.  The result has shape ``(len(start), E)``.  The hop out
     of ``start`` is the outermost integral.
 
+    At ``q`` nodes the sites go in blocks of whole chains, cut only at zero
+    hops: as many chains as fit in ``_BLOCK_ENTRIES // (q E)`` sites, or one
+    longer chain.  Past the ``(sites, E)`` totals, the memory is a few
+    ``(q, block sites, E)`` arrays of ``_BLOCK_ENTRIES`` entries or one chain.
+
     Raises ``ParameterError`` for a time that is not finite, and
     ``NumericalError`` if no node count up to ``_Q_MAX`` passes its
     Legendre tail check.
@@ -73,7 +94,7 @@ def chain_dyson(diag, hop, start, seed, t: float, order: int) -> np.ndarray:
     diag, hop = np.asarray(diag, dtype=float), np.asarray(hop, dtype=float)
     start, seed = np.asarray(start, dtype=int), np.asarray(seed, dtype=complex)
 
-    if order == 0 or t == 0.0 or start.size == 0:
+    if order == 0 or t == 0.0 or seed[start].size == 0:
         return seed[start]
 
     theta = np.diff(diag)
@@ -83,24 +104,27 @@ def chain_dyson(diag, hop, start, seed, t: float, order: int) -> np.ndarray:
 
     def evaluate(q):
         """The result at ``q`` nodes and its largest Legendre tail: the two
-        top coefficients of any order's integrand, times ``t / 2``."""
+        top coefficients of any block's integrand at any order, times ``t / 2``."""
         nodes, at_nodes, at_end, top = _operators(q)
         half = 0.5 * t
-        phase = np.exp(-1j * (half * (nodes + 1.0))[:, None] * theta)
-        up = (-1j * hop * phase)[..., None]            # hop p -> p+1, seen from p
-        down = (-1j * hop * phase.conj())[..., None]   # hop p+1 -> p
-        amp = np.broadcast_to(seed, (q,) + seed.shape)
-        total = seed.copy()
-        tail = 0.0
-        for m in range(1, order + 1):
-            integrand = np.zeros(amp.shape, dtype=complex)
-            integrand[:, :-1] = up * amp[:, 1:]
-            integrand[:, 1:] += down * amp[:, :-1]
-            flat = integrand.reshape(q, -1)
-            total += half * (at_end @ flat).reshape(seed.shape)
-            tail = max(tail, float(np.max(np.abs(top @ flat).sum(axis=0), initial=0.0)))
-            if m < order:
-                amp = half * (at_nodes @ flat).reshape(amp.shape)
+        at_nodes, at_end = half * at_nodes, half * at_end
+        total, tail = seed.copy(), 0.0
+        for lo, hi in _blocks(hop, _BLOCK_ENTRIES // (q * seed.shape[1])):
+            up = np.exp(-1j * (half * (nodes + 1.0))[:, None] * theta[lo:hi - 1])
+            up *= -1j * hop[lo:hi - 1]                 # hop p -> p+1, seen from p
+            up, down = up[..., None], -up.conj()[..., None]   # hop p+1 -> p
+            amp = np.repeat(seed[None, lo:hi], q, axis=0)
+            integrand, work = np.empty_like(amp), np.empty_like(amp)
+            flat = integrand.reshape(q, -1).view(float)
+            for m in range(1, order + 1):
+                np.multiply(down, amp[:, :-1], out=integrand[:, 1:])
+                integrand[:, 0] = 0.0
+                np.multiply(up, amp[:, 1:], out=work[:, :-1])
+                integrand[:, :-1] += work[:, :-1]
+                total[lo:hi] += (at_end @ flat).view(complex).reshape(hi - lo, -1)
+                tail = max(tail, float(np.abs((top @ flat).view(complex)).sum(axis=0).max()))
+                if m < order:
+                    np.matmul(at_nodes, flat, out=amp.reshape(q, -1).view(float))
         return total[start], abs(half) * tail
 
     while q <= _Q_MAX:

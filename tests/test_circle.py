@@ -148,6 +148,17 @@ def test_spectrum_flags_level_missing_from_window():
     assert res.max_rel_shift == math.inf
 
 
+@pytest.mark.parametrize("n_max", [2, 3, 8])
+def test_spectrum_without_coupling_converges_at_a_tie(n_max):
+    # at n_g = 1/2 the outside charge n_max + 1 has the energy of the window's
+    # top level -n_max: the window's levels are the circle's lowest ones
+    trunc = circle.ChargeBasisTruncation(n_max)
+    res = circle.spectrum(circle.CircuitParams(1.0, 0.0, 0.5), trunc, trunc.dim)
+    assert res.energies[-1] == (n_max + 0.5) ** 2 == (n_max + 1 - 0.5) ** 2
+    assert res.converged
+    assert res.max_rel_shift == 0.0
+
+
 @pytest.mark.parametrize("e_c,e_j", [(1.0, 1e200), (1.0, -1e200), (1e200, 0.2), (1e200, 1e200)])
 def test_spectrum_bound_on_extreme_circuits(e_c, e_j):
     for n_max in (2, 16):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -595,6 +597,51 @@ def test_dyson_defect_is_exact_minus_dyson(n_spins):
             exact = junction.evolution_element(PARAMS, n_spins, source, target, 0.4,
                                                gaps=GAPS).value
             assert abs(devs[(source, target)] - abs(exact - approx[(source, target)])) <= 1e-15
+
+
+@pytest.mark.parametrize("chunk_sites", [100, junction._CHUNK_SITES])
+def test_dyson_defect_takes_the_exact_chunks(monkeypatch, chunk_sites):
+    # with no Dyson terms the deviation is the exact element, bit for bit:
+    # both paths sum the same chunks in the same order (at N = 8 the entries
+    # hold 56 to 120 sites, so 100 sites give many chunks and 8192 one)
+    monkeypatch.setattr(junction, "_CHUNK_SITES", chunk_sites)
+    monkeypatch.setattr(junction, "_dyson_terms", lambda chunk, t, order: 0j)
+    for n_spins in (4, 8):
+        devs, _ = junction.dyson_junction_defect(PARAMS, n_spins, 0.4, 3, ELEMENTS, gaps=GAPS)
+        for source, target in ELEMENTS:
+            exact = junction.evolution_element(PARAMS, n_spins, source, target, 0.4, gaps=GAPS)
+            assert devs[(source, target)] == abs(exact.value)
+
+
+def quotient_pairs():
+    """Seeded ``(a, b) = (2 |t|, 2 / scale)`` pairs of the Chebyshev
+    rescaling: typical, log-uniform over the float range and extreme (``b``
+    near the float maximum from a subnormal scale, subnormal ``a``)."""
+    rng = np.random.default_rng(11)
+    pairs = list(zip(rng.uniform(0, 10, 400), rng.uniform(0.01, 200, 400)))
+    pairs += zip(10.0 ** rng.uniform(-320, 300, 400), 10.0 ** rng.uniform(-300, 300, 400))
+    pairs += [(t, scale) for t in (0.0, 5e-324, 1e-310, 1.0, 3.7, 1e300, 8.9e307)
+              for scale in (1.1125369292536007e-308, 1.2e-308, 2.2e-308, 1e-300, 1.0, 1e300)]
+    for t, scale in pairs:
+        a, b = 2.0 * float(t), 2.0 / float(scale)
+        if math.isfinite(b) and math.isfinite(a / b):
+            yield a, b
+
+
+def test_quotient_remainder_matches_exact_rationals():
+    # the remainder of a / b is the exact rational one, rounded once; where
+    # it lies below the normal range it is rounded twice, a unit off at most
+    checked = 0
+    for a, b in quotient_pairs():
+        x, remainder = junction._quotient(a, b)
+        want = float(Fraction(a) / Fraction(b) - Fraction(x))
+        assert x == a / b
+        if abs(want) >= sys.float_info.min:
+            assert remainder == want, (a, b)
+        else:
+            assert abs(remainder - want) <= math.ulp(0.0), (a, b)
+        checked += 1
+    assert checked > 700
 
 
 @pytest.mark.parametrize("n_spins,t,order", [(5, 0.4, 2), (4, 0.4, -1), (4, math.nan, 2)])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +62,81 @@ def test_chains_end_to_end_match_each_chain_alone(order):
         np.testing.assert_allclose(together[c], alone[0], rtol=0, atol=1e-12)
 
 
+def short_chains(rng, lengths):
+    """Random chains of the given lengths laid end to end, zero hops between
+    them, with each chain's first site as its start."""
+    first = np.cumsum(lengths) - lengths
+    diag = rng.normal(scale=2.0, size=lengths.sum())
+    hop = rng.normal(scale=0.5, size=lengths.sum() - 1)
+    hop[first[1:] - 1] = 0.0
+    return diag, hop, first
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_one_chain_per_block_matches_one_block(monkeypatch, order):
+    rng = np.random.default_rng(13)
+    lengths = rng.integers(1, 9, size=60)
+    diag, hop, first = short_chains(rng, lengths)
+    seed = rng.normal(size=(lengths.sum(), 2)) + 1j * rng.normal(size=(lengths.sum(), 2))
+    ranges, blocks = [], quadrature._blocks
+    monkeypatch.setattr(quadrature, "_blocks",
+                        lambda *args: (ranges.append(r) or r for r in blocks(*args)))
+    monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 2**40)
+    whole = chain_dyson(diag, hop, first, seed, 1.3, order)
+    assert ranges == [(0, lengths.sum())]
+    ranges.clear()
+    monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 1)
+    apart = chain_dyson(diag, hop, first, seed, 1.3, order)
+    assert ranges == list(zip(first, first + lengths))
+    assert np.all(np.abs(apart - whole) <= 1e-15 * np.maximum(1.0, np.abs(whole)))
+
+
+def test_blocks_are_runs_of_whole_chains():
+    rng = np.random.default_rng(17)
+    lengths = rng.integers(1, 40, size=80)
+    _, hop, first = short_chains(rng, lengths)
+    ends = first + lengths
+    for limit in (0, 1, 7, 39, 40, 100, 10**9):
+        ranges = list(quadrature._blocks(hop, limit))
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+        assert ranges[-1][1] == lengths.sum()
+        for lo, hi in ranges:
+            # a range is whole chains: it ends where a chain ends
+            assert hi in ends
+            # as many as fit, and a chain longer than the limit alone
+            chains = np.count_nonzero((ends > lo) & (ends <= hi))
+            assert hi - lo <= limit or chains == 1
+            if hi < lengths.sum():
+                assert ends[np.searchsorted(ends, hi, side="right")] - lo > limit
+
+
+def test_memory_is_bounded_per_block(monkeypatch):
+    # 4096 sites of four-site chains at q = 32 and K = 4: a few block
+    # arrays of _BLOCK_ENTRIES complex entries each, where all sites at once
+    # hold arrays 16 times as large
+    rng = np.random.default_rng(19)
+    diag, hop, first = short_chains(rng, np.full(1024, 4))
+    seed = np.zeros((diag.size, 1), dtype=complex)
+    seed[first + 3] = 1.0
+    counts, operators = [], quadrature._operators
+    monkeypatch.setattr(quadrature, "_operators", lambda q: counts.append(q) or operators(q))
+    limit = 16 * quadrature._BLOCK_ENTRIES * 16  # bytes: 16 blocks of complex entries
+
+    def peak():
+        chain_dyson(diag, hop, first, seed, 0.5, 4)  # the operators are cached
+        tracemalloc.start()
+        try:
+            chain_dyson(diag, hop, first, seed, 0.5, 4)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < limit
+    monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 2**40)  # all sites at once
+    assert peak() > limit
+    assert counts == [32] * 4
+
+
 def test_dyson_bound_is_the_plain_formula_where_representable():
     assert _dyson_bound(169, 1.5) == 1.5**170 / math.factorial(170)
     assert _dyson_bound(3, 1.6, 0.4) == 1.6**4 * 0.4**4 / math.factorial(4)
@@ -101,9 +177,8 @@ def node_counts(monkeypatch):
     return calls
 
 
-def test_dyson_orders_configs_evaluate_once(node_counts):
-    # the circle and junction Dyson configurations of the benchmark: each
-    # call's first node count passes its tail check
+def dyson_orders_calls():
+    """The circle and junction Dyson configurations of the benchmark."""
     params, trunc = circle.CircuitParams(e_c=1.0, e_j=1.0), circle.ChargeBasisTruncation(8)
     for order in range(1, 9):
         circle.dyson_defect(params, trunc, 0.5, order)
@@ -116,7 +191,27 @@ def test_dyson_orders_configs_evaluate_once(node_counts):
     for n_spins in (4, 6):
         for order in range(1, 5):
             junction.dyson_junction_defect(jparams, n_spins, 0.4, order, elements, gaps=gaps)
+
+
+def test_dyson_orders_configs_evaluate_once(node_counts):
+    # each call's first node count passes its tail check
+    dyson_orders_calls()
     assert len(node_counts) > 8 and all(len(counts) == 1 for counts in node_counts)
+
+
+def test_blocks_leave_node_counts_unchanged(monkeypatch, node_counts):
+    # one start count and one tail over all blocks: each call asks for the
+    # same node counts however its sites are cut
+    runs = []
+    for entries in (1, quadrature._BLOCK_ENTRIES, 2**40):
+        monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", entries)
+        node_counts.clear()
+        dyson_orders_calls()
+        circle.dyson_circle(circle.CircuitParams(e_c=1.0, e_j=1.0),
+                            circle.ChargeBasisTruncation(4), 2.0, 6)
+        runs.append(list(node_counts))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][-1] == [32, 64]
 
 
 def test_doubled_node_count_matches_block_exponential(node_counts):
