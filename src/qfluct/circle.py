@@ -28,7 +28,7 @@ import numpy as np
 from numpy.linalg import eigh
 
 from .errors import ParameterError, TruncationError, require_finite
-from .quadrature import _dyson_bound, chain_dyson
+from .quadrature import _check_order, _dyson_bound, chain_dyson
 
 __all__ = [
     "CircuitParams",
@@ -170,8 +170,7 @@ def dyson_circle(params: CircuitParams, trunc: ChargeBasisTruncation, t: float,
     nodes, q ~ E_C n_max t: about 0.4 GB per array at n_max=64, E_C=1,
     t=10 (from the shapes).
     """
-    if order < 0:
-        raise ParameterError("order must be >= 0")
+    _check_order(order)
     diag, hop = _chain(params, trunc)
     return chain_dyson(diag, hop, np.arange(trunc.dim), np.eye(trunc.dim), t, order).T
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormalPhaseError, ParameterError, require_finite
+from .errors import NormalPhaseError, NumericalError, ParameterError, require_finite
 from .fitting import MIN_POINTS, PowerLawFit, fit_power_law
 from .gap import GapSolution
 from .sectors import ModelParams, check_spin_count, eta, thermal_table
@@ -118,6 +118,16 @@ def _require_gap(gap: GapSolution) -> float:
             "gap is zero: fluctuation operators are undefined in the normal phase"
         )
     return gap.delta
+
+
+def _phases(inner, outer: complex):
+    """``exp`` of the array of phase arguments ``inner()`` and of ``outer``;
+    an argument past the float range (inf or nan) is a ``NumericalError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = inner()
+    if not (np.isfinite(inner).all() and cmath.isfinite(outer)):
+        raise NumericalError("a phase argument is past the float range: t is too large")
+    return np.exp(inner), cmath.exp(outer)
 
 
 def _ladder_walk(s: np.ndarray, sz: np.ndarray, word: FluctuationWord) -> np.ndarray:
@@ -253,8 +263,8 @@ def single_layer_evolution_element(params: ModelParams, n_spins: int, n: int,
 
     log_scale = 2.0 * m * math.log(c * n_spins)
     amps = np.exp(log_w + walk - log_scale)
-    total = complex(np.sum(amps * np.exp(-1j * t * d_eta)))
-    return cmath.exp(-2j * params.mu * t * m) * total
+    phases, outer = _phases(lambda: -1j * t * d_eta, -2j * params.mu * t * m)
+    return outer * complex(np.sum(amps * phases))
 
 
 def w_expectation(params: ModelParams, n_spins: int, m: int, t: float) -> complex:
@@ -272,9 +282,9 @@ def w_expectation(params: ModelParams, n_spins: int, m: int, t: float) -> comple
     if m == 0 or t == 0.0:
         return 1.0 + 0.0j
     _, sz, log_w = thermal_table(params, n_spins).flat()
-    phases = np.exp(-4j * m * params.t_c * t * sz / n_spins)
-    total = complex(np.sum(np.exp(log_w) * phases))
-    return cmath.exp(2j * m * params.epsilon * t) * total
+    phases, outer = _phases(lambda: -4j * m * params.t_c * t * sz / n_spins,
+                            2j * m * params.epsilon * t)
+    return outer * complex(np.sum(np.exp(log_w) * phases))
 
 
 def pair_expectation(params: ModelParams, n_spins: int) -> float:

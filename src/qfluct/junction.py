@@ -10,14 +10,15 @@ hops ``(a, b) -> (a+1, b-1)``, so the block further decomposes into
 tridiagonal chains of fixed ``a + b`` (total charge is conserved, so an
 element that changes it has no chain and is exactly zero).  Matrix
 elements of the propagator between charge-transfer states are therefore
-exact sums over chains of small tridiagonal problems, built in chunks of
-at most ``_CHUNK_SITES`` sites, one vectorized pass each: the chains of
-consecutive left table entries ``(s_L, sz_L0)``, laid end to end (a
-chain's last hop is exactly zero, so no amplitude crosses from one chain
-to the next).  Each chunk is propagated by one real Chebyshev recursion
-over its flat arrays, and its Dyson terms by one ``chain_dyson`` call,
-which takes it in blocks of whole chains.  No array spans every entry
-pair: a chunk holds a few vectors of its sites.
+exact sums over chains of small tridiagonal problems, built in chunks,
+one vectorized pass each: the chains of as many consecutive left table
+entries ``(s_L, sz_L0)`` as fit in ``_CHUNK_SITES`` sites, or of one larger
+entry, laid end to end (a chain's last hop is exactly zero, so no
+amplitude crosses from one chain to the next).  One checked loop,
+``_element_sums``, sums one term per chunk: its exact elements by a real
+Chebyshev recursion over its flat arrays, its Dyson terms by one
+``chain_dyson`` call (in blocks of whole chains, packed by the same rule),
+or the difference of the two.  No array spans every entry pair.
 The recursion's order, and so its cost, grows linearly with ``|t| R``, the
 time times the largest Gershgorin half-width of a chunk's chains (R is
 about 80 at N = 20): there it is 4-5 times faster than a tridiagonal
@@ -39,7 +40,7 @@ from .circle import ChargeBasisTruncation, CircuitParams, _evolution
 from .errors import (NormalPhaseError, NumericalError, ParameterError, TruncationError,
                      require_finite)
 from .gap import josephson_energy, solve_gap
-from .quadrature import _dyson_bound, chain_dyson
+from .quadrature import _check_order, _dyson_bound, _packs, chain_dyson
 from .sectors import ModelParams, check_spin_count, eta, ladder_coefficient, thermal_table
 
 __all__ = [
@@ -157,16 +158,15 @@ def _reached(layer: ModelParams, n_spins: int, n: int, n_p: int):
     return s[keep], sz0[keep], logw[keep], amp[keep]
 
 
-def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=None,
-                  sites: int = _CHUNK_SITES):
+def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=None):
     """Yield the chains of every table entry pair that both charge states
-    reach, as ``ChainBatch`` chunks of consecutive left entries, each with
-    all of its chains: as many entries as fit in ``sites`` sites, and a
-    left entry with more is a chunk of its own.  Each chunk is built in one
-    vectorized pass.  Diagonal: layer spectra relative to the commutant
-    labels plus the charging term; hops: the tunneling ladder products
-    scaled by lambda / N^2.  Total charge is conserved exactly: an element
-    with ``n_L + n_R != n_L' + n_R'`` has no chain and yields none.
+    reach, as ``ChainBatch`` chunks of consecutive left entries with all of
+    their chains: as many entries as fit in ``_CHUNK_SITES`` sites, or one
+    larger entry alone (``quadrature._packs``), each built in one vectorized
+    pass.  Diagonal: layer spectra relative to the commutant labels plus the
+    charging term; hops: the tunneling ladder products scaled by
+    lambda / N^2.  Total charge is conserved exactly: an element with
+    ``n_L + n_R != n_L' + n_R'`` has no chain and yields none.
 
     Raises ``ParameterError`` for a charge label that is not an integer."""
     (n_l, n_r), (n_lp, n_rp) = _charge_labels(source, target)
@@ -174,12 +174,13 @@ def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=Non
         return
     gl, gr = _resolve_gaps(params, gaps)
     pl, pr = params.left, params.right
-    log_norm = ((abs(n_l) + abs(n_lp)) * math.log(gl.delta * n_spins)
-                + (abs(n_r) + abs(n_rp)) * math.log(gr.delta * n_spins))
     s_l, sz_l0, logw_l, amp_l = _reached(pl, n_spins, n_l, n_lp)
     s_r, sz_r0, logw_r, amp_r = _reached(pr, n_spins, n_r, n_rp)
     if not (s_l.size and s_r.size):
         return
+    # a reached entry has every |n| <= N, so this is finite
+    log_norm = ((abs(n_l) + abs(n_lp)) * math.log(gl.delta * n_spins)
+                + (abs(n_r) + abs(n_rp)) * math.log(gr.delta * n_spins))
     eta_l0, eta_r0 = eta(pl, n_spins, s_l, sz_l0), eta(pr, n_spins, s_r, sz_r0)
 
     def chains(lo, hi):  # a + b, lowest a and length of the chains of left entries lo:hi
@@ -188,18 +189,12 @@ def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=Non
         length = np.rint(np.minimum(s_l[lo:hi, None], charge + s_r) - a_lo).astype(int) + 1
         return charge, a_lo, length
 
-    # the sites of each left entry set the chunk bounds, greedily; they are
-    # counted in blocks of about _CHUNK_SITES pairs, so no array spans all pairs
+    # the sites of each left entry set the chunk bounds; they are counted in
+    # blocks of about _CHUNK_SITES pairs, so no array spans all pairs
     block = max(1, _CHUNK_SITES // s_r.size)
     sizes = np.concatenate([chains(lo, lo + block)[2].sum(axis=1)
                             for lo in range(0, s_l.size, block)])
-    bounds, total = [0], 0
-    for i, size in enumerate(sizes.tolist()):
-        if total and total + size > sites:
-            bounds.append(i)
-            total = 0
-        total += size
-    for lo, hi in zip(bounds, bounds[1:] + [s_l.size]):
+    for lo, hi in _packs([0, *np.cumsum(sizes).tolist()], _CHUNK_SITES):
         charge, a_lo, length = chains(lo, hi)
         lengths = length.ravel()
         first = np.cumsum(lengths) - lengths
@@ -224,20 +219,16 @@ def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=Non
         )
 
 
-def _integral(label) -> bool:
-    try:
-        return int(label) == label
-    except (OverflowError, ValueError):  # inf or nan
-        return False
-
-
 def _charge_labels(source, target):
     """Both charge states as pairs of ints; a label that is not an integer
     is a ``ParameterError``."""
-    if not all(map(_integral, (*source, *target))):
-        raise ParameterError(f"element {list(source)} -> {list(target)}: charge "
-                             f"labels must be integers")
-    return (int(source[0]), int(source[1])), (int(target[0]), int(target[1]))
+    try:
+        if all(int(label) == label for label in (*source, *target)):
+            return (int(source[0]), int(source[1])), (int(target[0]), int(target[1]))
+    except (OverflowError, ValueError):  # inf or nan
+        pass
+    raise ParameterError(f"element {list(source)} -> {list(target)}: charge "
+                         f"labels must be integers")
 
 
 def eigh_tridiagonal(d, e):
@@ -374,22 +365,31 @@ def evolution_element(params: JunctionParams, n_spins: int, source, target,
     """Exact propagator matrix element between charge-transfer states,
     ``<target| exp(-i t H) |source>`` with the full block Hamiltonian.
 
-    A charge-violating element has no chains (``chain_batches`` yields
-    none), so it is exactly 0.  The chains come in chunks of at most
-    ``_CHUNK_SITES`` sites; each chunk is propagated by one Chebyshev
-    recursion, and its weighted chain elements are added by one dot
-    product.
+    A charge-violating element has no chains, so it is exactly 0.  Each
+    chunk of chains is propagated by one Chebyshev recursion, and its
+    weighted chain elements are added by one dot product.
 
-    Raises ``ParameterError`` for a time that is not finite or a charge
-    label that is not an integer, and
+    Raises ``ParameterError`` for an odd or too small ``n_spins``, a time
+    that is not finite or a charge label that is not an integer, and
+    ``NormalPhaseError`` for a normal-phase layer, before any chain is built;
     ``NumericalError`` where ``|t| R`` needs an order above ``_ORDER_MAX``.
     """
+    (element, value), = _element_sums(params, n_spins, t, [(source, target)], gaps,
+                                      lambda chunk: _weighted_elements(chunk, t)).items()
+    return TransitionElement(*element, t, value)
+
+
+def _element_sums(params: JunctionParams, n_spins: int, t: float, elements, gaps,
+                  term) -> dict:
+    """``{(source, target): sum of term(chunk)}`` over each element's
+    ``chain_batches`` chunks, in order, with N, t and the charge labels
+    checked and the gaps resolved once, before any chain is built."""
     check_spin_count(n_spins)
     require_finite(t=t)
-    source, target = _charge_labels(source, target)
-    chunks = chain_batches(params, n_spins, source, target, gaps, _CHUNK_SITES)
-    return TransitionElement(source, target, t,
-                             sum((_weighted_elements(chunk, t) for chunk in chunks), 0j))
+    elements = [_charge_labels(source, target) for source, target in elements]
+    gaps = _resolve_gaps(params, gaps)
+    return {element: sum(map(term, chain_batches(params, n_spins, *element, gaps)), 0j)
+            for element in elements}
 
 
 def _weighted_elements(chunk: ChainBatch, t: float) -> complex:
@@ -415,23 +415,23 @@ def circle_element(params: JunctionParams, source, target, t: float,
     source, target = _charge_labels(source, target)
     if sum(source) != sum(target):
         return 0j
-    n_in, n_out = (source[0] - source[1]) / 2.0, (target[0] - target[1]) / 2.0
-    if max(abs(n_in), abs(n_out)) > _CIRCLE_N_MAX:
+    twice_in, twice_out = source[0] - source[1], target[0] - target[1]
+    if max(abs(twice_in), abs(twice_out)) > 2 * _CIRCLE_N_MAX:
         raise ParameterError(
             f"element {list(source)} -> {list(target)}: the circle comparator "
             f"needs relative charges (nL - nR)/2 with |n| <= {_CIRCLE_N_MAX}, "
-            f"got {n_in:g} -> {n_out:g}")
+            f"got nL - nR = {twice_in} -> {twice_out}")
     gl, gr = _resolve_gaps(params, gaps)
     shift = 0.0 if sum(source) % 2 == 0 else 0.5
     circuit = CircuitParams(params.e_c, josephson_energy(params.lam, gl.delta, gr.delta),
                             params.n_g - shift)
     trunc = ChargeBasisTruncation(_CIRCLE_N_MAX)
     u, leak = _evolution(circuit, trunc, t)
-    col = trunc.index_of(n_in - shift)
+    col = trunc.index_of(twice_in / 2.0 - shift)
     if leak[col] > 1e-12:
         raise TruncationError(f"circle comparator not converged at n_max={_CIRCLE_N_MAX}: "
                               f"the window may move the element by up to {leak[col]:.3e}")
-    return complex(u[trunc.index_of(n_out - shift), col])
+    return complex(u[trunc.index_of(twice_out / 2.0 - shift), col])
 
 
 @dataclass(frozen=True)
@@ -457,8 +457,7 @@ def meso_compare(params: JunctionParams, n_list, elements, t: float,
                   for n in n_list]
         errors = [abs(v - circle_value) for v in finite]
         tail = errors[1:]
-        non_increasing = all(tail[i + 1] <= tail[i] * (1 + 1e-12)
-                             for i in range(len(tail) - 1))
+        non_increasing = all(b <= a * (1 + 1e-12) for a, b in zip(tail, tail[1:]))
         ratio = errors[-1] / errors[0] if errors and errors[0] > 0 else 0.0
         rows.append(MesoCompareRow(
             source=tuple(source), target=tuple(target), circle_value=circle_value,
@@ -466,13 +465,6 @@ def meso_compare(params: JunctionParams, n_list, elements, t: float,
             non_increasing_after_first=non_increasing, final_over_initial=ratio,
         ))
     return rows
-
-
-def _check_dyson(n_spins: int, t: float, order: int) -> None:
-    check_spin_count(n_spins)
-    require_finite(t=t)
-    if order < 0:
-        raise ParameterError("order must be >= 0")
 
 
 def _dyson_terms(chunk: ChainBatch, t: float, order: int) -> complex:
@@ -492,18 +484,12 @@ def dyson_junction(params: JunctionParams, n_spins: int, t: float, order: int,
     ``D_K(t) U_0(t)``, tunneling as the perturbation.
 
     The chains come in the chunks of ``evolution_element``, and the shared
-    chain recursion runs once per chunk.  Raises
-    ``ParameterError`` for an odd or too small ``n_spins``, a time that is
-    not finite, a negative order or a charge label that is not an integer,
-    before any work.
+    chain recursion runs once per chunk.  The arguments are checked as in
+    ``evolution_element``, and a negative order is a ``ParameterError``.
     """
-    _check_dyson(n_spins, t, order)
-    elements = [_charge_labels(source, target) for source, target in elements]
-    gaps = _resolve_gaps(params, gaps)
-    return {(source, target): sum(
-        (_dyson_terms(chunk, t, order) for chunk in
-         chain_batches(params, n_spins, source, target, gaps, _CHUNK_SITES)), 0j)
-            for source, target in elements}
+    _check_order(order)
+    return _element_sums(params, n_spins, t, elements, gaps,
+                         lambda chunk: _dyson_terms(chunk, t, order))
 
 
 def dyson_junction_defect(params: JunctionParams, n_spins: int, t: float,
@@ -514,13 +500,9 @@ def dyson_junction_defect(params: JunctionParams, n_spins: int, t: float,
     Each element's chains are built once: every chunk is propagated
     exactly, as in ``evolution_element``, and its Dyson terms are taken as
     in ``dyson_junction``.  It raises as ``dyson_junction`` does."""
-    _check_dyson(n_spins, t, order)
-    elements = [_charge_labels(source, target) for source, target in elements]
-    gaps = _resolve_gaps(params, gaps)
-    deviations = {}
-    for source, target in elements:
-        deviation = 0j
-        for chunk in chain_batches(params, n_spins, source, target, gaps, _CHUNK_SITES):
-            deviation += _weighted_elements(chunk, t) - _dyson_terms(chunk, t, order)
-        deviations[(source, target)] = abs(deviation)
-    return deviations, _dyson_bound(order, 2.0 * abs(params.lam), abs(t))
+    _check_order(order)
+    deviations = _element_sums(
+        params, n_spins, t, elements, gaps,
+        lambda chunk: _weighted_elements(chunk, t) - _dyson_terms(chunk, t, order))
+    return ({element: abs(deviation) for element, deviation in deviations.items()},
+            _dyson_bound(order, 2.0 * abs(params.lam), abs(t)))

@@ -18,7 +18,7 @@ gives each integrand's top Legendre coefficients, whose size estimates what
 the node count leaves out (Trefethen, Approximation Theory and
 Approximation Practice, ch. 8): a node count is evaluated once and
 accepted when that tail is small enough, and doubled only when it is not.
-The sites go in blocks of whole chains, ``_BLOCK_ENTRIES`` entries per
+The sites go in ``_packs`` of whole chains, ``_BLOCK_ENTRIES`` entries per
 (nodes, sites, columns) array, so memory is bounded per block; the real
 maps act on the float view of the complex integrand, one real product each.
 """
@@ -26,6 +26,7 @@ maps act on the float view of the complex integrand, one real product each.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -61,15 +62,20 @@ def _operators(q: int):
     return nodes, at_nodes, at_end[0], coef_from_values[-2:].copy()
 
 
-def _blocks(hop, limit: int):
-    """``(lo, hi)`` site ranges of whole chains (no path crosses a zero hop):
-    as many as fit in ``limit`` sites, or one longer chain."""
-    ends, lo = np.append(np.flatnonzero(hop == 0.0) + 1, hop.size + 1), 0
-    while lo < ends[-1]:
-        i = max(np.searchsorted(ends, lo + limit, "right") - 1,  # the last chain that fits
-                np.searchsorted(ends, lo, "right"))              # or the next one alone
-        yield lo, ends[i]
-        lo = ends[i]
+def _packs(bounds, budget: int):
+    """Runs ``(i, j)`` of whole units ``i .. j - 1`` (chains here, left table
+    entries in the junction's chunks), unit ``k`` holding ``bounds[k + 1] -
+    bounds[k]``: as many as fit in ``budget``, or one longer unit alone."""
+    i = 0
+    while i < len(bounds) - 1:
+        j = max(bisect_right(bounds, bounds[i] + budget) - 1, i + 1)
+        yield i, j
+        i = j
+
+
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ParameterError("order must be >= 0")
 
 
 def chain_dyson(diag, hop, start, seed, t: float, order: int) -> np.ndarray:
@@ -81,8 +87,8 @@ def chain_dyson(diag, hop, start, seed, t: float, order: int) -> np.ndarray:
     leaves its chain.  The result has shape ``(len(start), E)``.  The hop out
     of ``start`` is the outermost integral.
 
-    At ``q`` nodes the sites go in blocks of whole chains, cut only at zero
-    hops: as many chains as fit in ``_BLOCK_ENTRIES // (q E)`` sites, or one
+    At ``q`` nodes the sites go in ``_packs`` of whole chains, cut only at
+    zero hops: as many as fit in ``_BLOCK_ENTRIES // (q E)`` sites, or one
     longer chain.  Past the ``(sites, E)`` totals, the memory is a few
     ``(q, block sites, E)`` arrays of ``_BLOCK_ENTRIES`` entries or one chain.
 
@@ -98,6 +104,7 @@ def chain_dyson(diag, hop, start, seed, t: float, order: int) -> np.ndarray:
         return seed[start]
 
     theta = np.diff(diag)
+    bounds = [0, *(np.flatnonzero(hop == 0.0) + 1).tolist(), hop.size + 1]
     live = np.abs(theta[hop != 0.0])
     # start high enough to resolve the fastest phase
     q = max(_Q_START, int(1.2 * live.max(initial=0.0) * abs(t) / 2.0) + 8)
@@ -109,7 +116,8 @@ def chain_dyson(diag, hop, start, seed, t: float, order: int) -> np.ndarray:
         half = 0.5 * t
         at_nodes, at_end = half * at_nodes, half * at_end
         total, tail = seed.copy(), 0.0
-        for lo, hi in _blocks(hop, _BLOCK_ENTRIES // (q * seed.shape[1])):
+        for i, j in _packs(bounds, _BLOCK_ENTRIES // (q * seed.shape[1])):
+            lo, hi = bounds[i], bounds[j]
             up = np.exp(-1j * (half * (nodes + 1.0))[:, None] * theta[lo:hi - 1])
             up *= -1j * hop[lo:hi - 1]                 # hop p -> p+1, seen from p
             up, down = up[..., None], -up.conj()[..., None]   # hop p+1 -> p

@@ -510,6 +510,30 @@ def test_junction_element_past_circle_window_names_it(tmp_path, capsys):
     assert "[0, 0] -> [25, -25]" in err and "|n| <= 24" in err
 
 
+@pytest.mark.parametrize("element", [[17 * 10**307, -17 * 10**307, 0, 0],
+                                     [17 * 10**307, -17 * 10**307] * 2],
+                         ids=["to-0", "diagonal"])
+def test_junction_labels_past_float_range_are_config_error(tmp_path, capsys, element):
+    # no table entry is reached, so the finite-N element is exactly 0; the
+    # circle comparator names its window
+    code, out = run(tmp_path, "junction", {**JUNCTION, "elements": [element]})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "|n| <= 24" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("time,n_list", [(1e308, [64, 128]), (1e306, [64, 128, 256])])
+def test_converge_time_past_phase_range_is_numerical_error(tmp_path, capsys, time, n_list):
+    # t S_z passes the float range, where w_expectation's phases were nan
+    code, out = run(tmp_path, "converge", {**CONVERGE, "time": time, "n_list": n_list})
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "numerical error: a phase argument is past the float range: t is too large"]
+    assert not out.exists()
+
+
 def test_converge_reports_discarded_bound(tmp_path):
     code, out = run(tmp_path, "converge",
                     {"epsilon": 0.0, "t_c": 1.0, "beta": 2.0,

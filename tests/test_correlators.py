@@ -1,11 +1,12 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qfluct import correlators, dense, gap, sectors
-from qfluct.errors import NormalPhaseError, ParameterError, ParityError
+from qfluct.errors import NormalPhaseError, NumericalError, ParameterError, ParityError
 from qfluct.fitting import fit_power_law
 
 PARAMS = sectors.ModelParams(epsilon=0.3, t_c=1.0, beta=1.6, mu=0.2)
@@ -231,6 +232,20 @@ def test_non_finite_time_rejected(t):
     for m in (0, 1):
         with pytest.raises(ParameterError):
             correlators.w_expectation(PARAMS, 4, m, t)
+
+
+@pytest.mark.parametrize("n_spins,t", [(4, 1e308), (256, 1e306)])
+def test_phase_past_float_range_is_numerical_error(n_spins, t):
+    # t times the sector energies or S_z passes the float range, where the
+    # phase would be nan; at 1e306 only the larger N's S_z take it there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        with pytest.raises(NumericalError, match="past the float range"):
+            correlators.w_expectation(PARAMS, n_spins, 1, t)
+        if t == 1e308:
+            with pytest.raises(NumericalError, match="past the float range"):
+                correlators.single_layer_evolution_element(PARAMS, n_spins, 1, 1, t, SOL)
+        assert cmath.isfinite(correlators.w_expectation(PARAMS, 64, 1, 1e306))
 
 
 def test_w_expectation_trivial_cases():

@@ -26,16 +26,45 @@ def dense_oracle(params=PARAMS, gaps=GAPS):
                                gaps[0], gaps[1], 2)
 
 
+HOT = junction.JunctionParams(
+    left=sectors.ModelParams(epsilon=0.0, t_c=1.0, beta=0.5),
+    right=sectors.ModelParams(epsilon=0.0, t_c=1.0, beta=0.5),
+    lam=1.0, e_c=1.0, n_g=0.0, beta=0.5,
+)
+
+
 def test_layer_gaps_normal_phase_rejected():
-    hot = junction.JunctionParams(
-        left=sectors.ModelParams(epsilon=0.0, t_c=1.0, beta=0.5),
-        right=sectors.ModelParams(epsilon=0.0, t_c=1.0, beta=0.5),
-        lam=1.0, e_c=1.0, n_g=0.0, beta=0.5,
-    )
     with pytest.raises(NormalPhaseError):
-        junction.layer_gaps(hot)
+        junction.layer_gaps(HOT)
     with pytest.raises(NormalPhaseError):
-        list(junction.chain_batches(hot, 4, (0, 0), (0, 0)))
+        list(junction.chain_batches(HOT, 4, (0, 0), (0, 0)))
+
+
+@pytest.mark.parametrize("element", [((0, 0), (0, 0)), ((0, 0), (1, 1))])
+def test_normal_phase_rejected_for_every_element(element):
+    # the gaps are resolved before any chain is built, so an element with
+    # no chain raises too; the circle comparator keeps its exact 0
+    calls = [lambda: junction.evolution_element(HOT, 4, *element, 0.3),
+             lambda: junction.dyson_junction(HOT, 4, 0.3, 1, [element]),
+             lambda: junction.dyson_junction_defect(HOT, 4, 0.3, 1, [element])]
+    for call in calls:
+        with pytest.raises(NormalPhaseError):
+            call()
+    if sum(element[0]) != sum(element[1]):
+        assert junction.circle_element(HOT, *element, 0.3) == 0j
+
+
+@pytest.mark.parametrize("source,target", [((17 * 10**307, -17 * 10**307), (0, 0)),
+                                           ((17 * 10**307, -17 * 10**307),) * 2])
+def test_labels_past_float_range_reach_no_entry(source, target):
+    # no table entry is reached, so nothing is formed from |n|: the elements
+    # are exactly 0, and the circle comparator names its window
+    assert list(junction.chain_batches(PARAMS, 4, source, target, gaps=GAPS)) == []
+    assert junction.evolution_element(PARAMS, 4, source, target, 0.3, gaps=GAPS).value == 0j
+    assert junction.dyson_junction_defect(PARAMS, 4, 0.3, 2, [(source, target)],
+                                          gaps=GAPS)[0] == {(source, target): 0.0}
+    with pytest.raises(ParameterError, match=r"\|n\| <= 24"):
+        junction.circle_element(PARAMS, source, target, 0.3, gaps=GAPS)
 
 
 def all_chains(params=PARAMS, n_spins=4):
@@ -142,7 +171,8 @@ def reached_entries(layer, n_spins, n, n_p):
 @pytest.mark.parametrize("source,target", [((0, 0), (1, -1)), ((0, 0), (0, 0))])
 def test_solver_counts_every_chain_site(monkeypatch, source, target):
     # a one-site bound makes each left table entry a chunk of its own
-    entries = list(junction.chain_batches(PARAMS, 8, source, target, gaps=GAPS, sites=1))
+    monkeypatch.setattr(junction, "_CHUNK_SITES", 1)
+    entries = list(junction.chain_batches(PARAMS, 8, source, target, gaps=GAPS))
     assert sum(entry.first.size for entry in entries) == (
         reached_entries(PARAMS.left, 8, source[0], target[0])
         * reached_entries(PARAMS.right, 8, source[1], target[1]))
@@ -157,8 +187,7 @@ def test_solver_counts_every_chain_site(monkeypatch, source, target):
         # the entries' sites are counted in blocks of about _CHUNK_SITES
         # pairs: at 100 and 256 there are several blocks
         monkeypatch.setattr(junction, "_CHUNK_SITES", sites)
-        batches = list(junction.chain_batches(PARAMS, 8, source, target, gaps=GAPS,
-                                              sites=sites))
+        batches = list(junction.chain_batches(PARAMS, 8, source, target, gaps=GAPS))
         # every chain once, in order, and no hop from one chunk to the next
         for field in ("s_l", "s_r", "weight", "a", "b", "diag"):
             np.testing.assert_array_equal(
@@ -644,15 +673,26 @@ def test_quotient_remainder_matches_exact_rationals():
     assert checked > 700
 
 
-@pytest.mark.parametrize("n_spins,t,order", [(5, 0.4, 2), (4, 0.4, -1), (4, math.nan, 2)])
-def test_dyson_defect_rejects_before_any_work(monkeypatch, n_spins, t, order):
+@pytest.mark.parametrize("n_spins,t,order,element", [
+    pytest.param(5, 0.4, 2, ((0, 0), (1, -1)), id="5-0.4-2"),
+    pytest.param(4, 0.4, -1, ((0, 0), (1, -1)), id="4-0.4--1"),
+    pytest.param(4, math.nan, 2, ((0, 0), (1, -1)), id="4-nan-2"),
+    pytest.param(4, 0.4, 2, ((0, 0), (0.5, -0.5)), id="4-0.4-2-label"),
+])
+def test_dyson_defect_rejects_before_any_work(monkeypatch, n_spins, t, order, element):
+    # all three element functions check their arguments before the gaps or
+    # any chain; only the two Dyson functions take an order
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the arguments were checked")
     monkeypatch.setattr(junction, "layer_gaps", no_work)
     monkeypatch.setattr(junction, "chain_batches", no_work)
-    for call in (junction.dyson_junction, junction.dyson_junction_defect):
+    calls = [lambda: junction.dyson_junction(PARAMS, n_spins, t, order, [element]),
+             lambda: junction.dyson_junction_defect(PARAMS, n_spins, t, order, [element])]
+    if order >= 0:
+        calls.append(lambda: junction.evolution_element(PARAMS, n_spins, *element, t))
+    for call in calls:
         with pytest.raises(ParameterError):
-            call(PARAMS, n_spins, t, order, CRITERION_8_ELEMENTS)
+            call()
 
 
 def test_two_layer_correlator_vs_dense():

@@ -78,9 +78,10 @@ def test_one_chain_per_block_matches_one_block(monkeypatch, order):
     lengths = rng.integers(1, 9, size=60)
     diag, hop, first = short_chains(rng, lengths)
     seed = rng.normal(size=(lengths.sum(), 2)) + 1j * rng.normal(size=(lengths.sum(), 2))
-    ranges, blocks = [], quadrature._blocks
-    monkeypatch.setattr(quadrature, "_blocks",
-                        lambda *args: (ranges.append(r) or r for r in blocks(*args)))
+    # the site range of each block: runs (i, j) of chains i .. j - 1
+    ranges, packs = [], quadrature._packs
+    monkeypatch.setattr(quadrature, "_packs", lambda bounds, budget: (
+        ranges.append((bounds[i], bounds[j])) or (i, j) for i, j in packs(bounds, budget)))
     monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 2**40)
     whole = chain_dyson(diag, hop, first, seed, 1.3, order)
     assert ranges == [(0, lengths.sum())]
@@ -94,10 +95,11 @@ def test_one_chain_per_block_matches_one_block(monkeypatch, order):
 def test_blocks_are_runs_of_whole_chains():
     rng = np.random.default_rng(17)
     lengths = rng.integers(1, 40, size=80)
-    _, hop, first = short_chains(rng, lengths)
+    _, _, first = short_chains(rng, lengths)
     ends = first + lengths
+    bounds = np.append(0, ends)
     for limit in (0, 1, 7, 39, 40, 100, 10**9):
-        ranges = list(quadrature._blocks(hop, limit))
+        ranges = [(bounds[i], bounds[j]) for i, j in quadrature._packs(bounds, limit)]
         assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
         assert ranges[-1][1] == lengths.sum()
         for lo, hi in ranges:
