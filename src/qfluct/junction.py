@@ -14,15 +14,23 @@ exact sums over chains of small tridiagonal problems, built in chunks,
 one vectorized pass each: the chains of as many consecutive left table
 entries ``(s_L, sz_L0)`` as fit in ``_CHUNK_SITES`` sites, or of one larger
 entry, laid end to end (a chain's last hop is exactly zero, so no
-amplitude crosses from one chain to the next).  One checked loop,
-``_element_sums``, sums one term per chunk: its exact elements by a real
-Chebyshev recursion over its flat arrays, its Dyson terms by one
-``chain_dyson`` call (in blocks of whole chains, packed by the same rule),
-or the difference of the two.  No array spans every entry pair.
+amplitude crosses from one chain to the next).  Each chain keeps only
+the sites within a window of ``w`` sites beyond its source and target,
+``w`` the smallest for which a computed bound on the paths that leave the
+window and come back (``_window_log_bound``) is at most the recursion's
+own ``_TAIL``.  One checked loop, ``_element_sums``, sums one term per
+chunk: its exact elements by a real Chebyshev recursion over its flat
+arrays, its Dyson terms by one ``chain_dyson`` call (in blocks of whole
+chains, packed by the same rule), or the difference of the two.  No array
+spans every entry pair.
 The recursion's order, and so its cost, grows linearly with ``|t| R``, the
-time times the largest Gershgorin half-width of a chunk's chains (R is
-about 80 at N = 20): there it is 4-5 times faster than a tridiagonal
-eigensolve per chain for t <= 1 and about as fast near t = 8.
+time times the largest Gershgorin half-width of a chunk's chains.  R is
+set by the charging energy at the sites far from the source, which the
+window leaves out: at t = 0.3 (w = 5) it falls from about 80 to 16 at
+N = 20 and from about 200 to 18 at N = 32, and the element (0,0)->(1,-1)
+at the README junction parameters is 1.7 times faster at N = 20, 2.8
+times at N = 32 and 3.8 times at N = 48 than with whole chains.  The window
+widens with |t| and leaves the chains at N = 20 nearly whole by t = 8.
 
 Energy scales: hopping enters as ``lambda / N^2`` (tunneling is a surface
 effect), and the large-N coupling of the relative phase is
@@ -132,9 +140,10 @@ class ChainBatch:
     ``first[c]`` and has the weight ``weight[c]``: that of its entry pair
     times the ladder amplitudes and normalizations.  Site ``i`` holds the
     labels ``(a[i], b[i])``, ``a`` ascending and ``a + b`` fixed along a
-    chain.  ``hop[i]`` joins sites ``i`` and ``i + 1``, exactly zero out of
-    a chain's last site (there ``a = s_l`` or ``b = -s_r``).  ``start`` and
-    ``end`` are the sites of the source and target labels."""
+    chain, which ends where ``a = s_l`` or ``b = -s_r`` or at the edge of its
+    window.  ``hop[i]`` joins sites ``i`` and ``i + 1``, exactly zero out of
+    a chain's last site.  ``start`` and ``end`` are the sites of the source
+    and target labels."""
 
     s_l: np.ndarray
     s_r: np.ndarray
@@ -158,7 +167,41 @@ def _reached(layer: ModelParams, n_spins: int, n: int, n_p: int):
     return s[keep], sz0[keep], logw[keep], amp[keep]
 
 
-def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=None):
+def _window(params: JunctionParams, n_spins: int, t: float, shift: int):
+    """The sites ``w`` a chain keeps beyond its source and target sites at
+    time ``t``, for ``shift = |n_L' - n_L|`` sites between them: the
+    smallest whose ``_window_log_bound`` is at most the logarithm of
+    ``_TAIL``, the Chebyshev recursion's own bound, or None to keep every
+    chain whole.  No hop is above ``h = |lambda| (N+1)^2 / (4 N^2)`` (no
+    ladder coefficient is above (N+1)/2).  From ``w = N - shift`` on a
+    window holds every chain, whose sites are in [-N/2, N/2], so there is
+    none."""
+    x = abs(params.lam) * (n_spins + 1) ** 2 / (2.0 * n_spins**2) * abs(t)  # 2 h |t|
+    log_tail = math.log(_TAIL)
+    for w in range(n_spins - shift):
+        if _window_log_bound(x, w, shift) <= log_tail:
+            return w
+    return None
+
+
+def _window_log_bound(x: float, w: int, shift: int) -> float:
+    """The logarithm of a bound on how far a window of ``w`` sites beyond
+    the source and target, ``shift`` sites apart, moves one chain element,
+    for ``x = 2 h |t|`` and no hop above ``h``.
+
+    A path from the source out of the window and back to the target takes
+    at least ``D = 2 w + 2 + shift`` hops, and Duhamel's formula with Dyson
+    tails bounds what such paths add by ``x^D / D! e^x``.  Taken in
+    logarithms, it never overflows: -inf for ``x = 0`` and inf for an
+    infinite ``x``."""
+    if x == 0.0:  # no path leaves its source
+        return -math.inf
+    hops = 2 * w + 2 + shift
+    return hops * math.log(x) - math.lgamma(hops + 1) + x
+
+
+def chain_batches(params: JunctionParams, n_spins: int, source, target, t: float,
+                  gaps=None):
     """Yield the chains of every table entry pair that both charge states
     reach, as ``ChainBatch`` chunks of consecutive left entries with all of
     their chains: as many entries as fit in ``_CHUNK_SITES`` sites, or one
@@ -167,6 +210,12 @@ def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=Non
     charging term; hops: the tunneling ladder products scaled by
     lambda / N^2.  Total charge is conserved exactly: an element with
     ``n_L + n_R != n_L' + n_R'`` has no chain and yields none.
+
+    Each chain keeps the sites ``a`` in [min(a_s, a_e) - w, max(a_s, a_e) + w]
+    of its own range, ``a_s = sz_L0 + n_L`` and ``a_e = sz_L0 + n_L'`` its
+    source and target sites, with ``w = _window(...)`` chosen once for the
+    time ``t``; a window edge ends a chain with an exact zero hop, as a
+    chain's end does.  With no window (None), every chain is whole.
 
     Raises ``ParameterError`` for a charge label that is not an integer."""
     (n_l, n_r), (n_lp, n_rp) = _charge_labels(source, target)
@@ -182,11 +231,17 @@ def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=Non
     log_norm = ((abs(n_l) + abs(n_lp)) * math.log(gl.delta * n_spins)
                 + (abs(n_r) + abs(n_rp)) * math.log(gr.delta * n_spins))
     eta_l0, eta_r0 = eta(pl, n_spins, s_l, sz_l0), eta(pr, n_spins, s_r, sz_r0)
+    # the range of a of each left entry: [-s_l, s_l], cut to the window
+    a_min, a_max = -s_l, s_l
+    w = _window(params, n_spins, t, abs(n_lp - n_l))
+    if w is not None:
+        a_min = np.maximum(a_min, sz_l0 + (min(n_l, n_lp) - w))
+        a_max = np.minimum(a_max, sz_l0 + (max(n_l, n_lp) + w))
 
     def chains(lo, hi):  # a + b, lowest a and length of the chains of left entries lo:hi
         charge = (sz_l0[lo:hi, None] + n_l) + (sz_r0 + n_r)
-        a_lo = np.maximum(-s_l[lo:hi, None], charge - s_r)
-        length = np.rint(np.minimum(s_l[lo:hi, None], charge + s_r) - a_lo).astype(int) + 1
+        a_lo = np.maximum(a_min[lo:hi, None], charge - s_r)
+        length = np.rint(np.minimum(a_max[lo:hi, None], charge + s_r) - a_lo).astype(int) + 1
         return charge, a_lo, length
 
     # the sites of each left entry set the chunk bounds; they are counted in
@@ -210,6 +265,7 @@ def chain_batches(params: JunctionParams, n_spins: int, source, target, gaps=Non
                                 - params.n_g) ** 2)
         hop = (params.lam / n_spins**2 * ladder_coefficient(site_s_l[:-1], a[:-1], 1)
                * ladder_coefficient(site_s_r[:-1], b[:-1], -1))
+        hop[first[1:] - 1] = 0.0  # out of each chain's last site, a window edge too
         weight = np.exp(logw_l[lo:hi, None] + logw_r - log_norm) * amp_l[lo:hi, None] * amp_r
         at_sz_l0 = first + np.rint(sz_l0[lo:hi, None] - a_lo).astype(int).ravel()
         yield ChainBatch(
@@ -388,7 +444,7 @@ def _element_sums(params: JunctionParams, n_spins: int, t: float, elements, gaps
     require_finite(t=t)
     elements = [_charge_labels(source, target) for source, target in elements]
     gaps = _resolve_gaps(params, gaps)
-    return {element: sum(map(term, chain_batches(params, n_spins, *element, gaps)), 0j)
+    return {element: sum(map(term, chain_batches(params, n_spins, *element, t, gaps)), 0j)
             for element in elements}
 
 
@@ -483,8 +539,10 @@ def dyson_junction(params: JunctionParams, n_spins: int, t: float, order: int,
     """Elements of the order-K time-ordered perturbative propagator
     ``D_K(t) U_0(t)``, tunneling as the perturbation.
 
-    The chains come in the chunks of ``evolution_element``, and the shared
-    chain recursion runs once per chunk.  The arguments are checked as in
+    The chains come in the windowed chunks of ``evolution_element``, and
+    the shared chain recursion runs once per chunk.  A window leaves out
+    only paths of at least ``2 w + 2 + |n_L' - n_L|`` hops, so it moves
+    no term of a lower order.  The arguments are checked as in
     ``evolution_element``, and a negative order is a ``ParameterError``.
     """
     _check_order(order)

@@ -105,9 +105,10 @@ def chain_dyson(diag, hop, start, seed, t: float, order: int) -> np.ndarray:
 
     theta = np.diff(diag)
     bounds = [0, *(np.flatnonzero(hop == 0.0) + 1).tolist(), hop.size + 1]
-    live = np.abs(theta[hop != 0.0])
-    # start high enough to resolve the fastest phase
-    q = max(_Q_START, int(1.2 * live.max(initial=0.0) * abs(t) / 2.0) + 8)
+    fastest = float(np.max(np.abs(theta[hop != 0.0]), initial=0.0))
+    # start high enough to resolve the fastest phase; past _Q_MAX (or past
+    # float range) no node count is tried
+    q = max(_Q_START, int(min(1.2 * fastest * abs(t) / 2.0, _Q_MAX)) + 8)
 
     def evaluate(q):
         """The result at ``q`` nodes and its largest Legendre tail: the two

@@ -217,7 +217,7 @@ def test_criterion_7_junction_convergence():
         lam=1.0, e_c=0.4, n_g=0.2, beta=2.0,
     )
     gaps = junction.layer_gaps(params)
-    rows = junction.meso_compare(params, [4, 8, 12, 16], [((0, 0), (1, -1))],
+    rows = junction.meso_compare(params, [4, 8, 12, 16, 32, 64], [((0, 0), (1, -1))],
                                  0.3, gaps=gaps)  # lambda * t = 0.3
     row = rows[0]
     errs = row.abs_errors
@@ -230,7 +230,7 @@ def test_criterion_7_junction_convergence():
     assert junction.circle_element(params, (0, 0), (1, 1), 0.3, gaps=gaps) == 0j
 
     _report("criterion-7 junction convergence", time.time() - start, 300,
-            f"errors {errs[0]:.3e} -> {errs[-1]:.3e} over N=4..16")
+            f"errors {errs[0]:.3e} -> {errs[-1]:.3e} over N=4..64")
 
 
 def test_criterion_8_dyson_bounds():

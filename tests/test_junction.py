@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +38,7 @@ def test_layer_gaps_normal_phase_rejected():
     with pytest.raises(NormalPhaseError):
         junction.layer_gaps(HOT)
     with pytest.raises(NormalPhaseError):
-        list(junction.chain_batches(HOT, 4, (0, 0), (0, 0)))
+        list(junction.chain_batches(HOT, 4, (0, 0), (0, 0), 0.3))
 
 
 @pytest.mark.parametrize("element", [((0, 0), (0, 0)), ((0, 0), (1, 1))])
@@ -59,7 +60,7 @@ def test_normal_phase_rejected_for_every_element(element):
 def test_labels_past_float_range_reach_no_entry(source, target):
     # no table entry is reached, so nothing is formed from |n|: the elements
     # are exactly 0, and the circle comparator names its window
-    assert list(junction.chain_batches(PARAMS, 4, source, target, gaps=GAPS)) == []
+    assert list(junction.chain_batches(PARAMS, 4, source, target, 0.3, gaps=GAPS)) == []
     assert junction.evolution_element(PARAMS, 4, source, target, 0.3, gaps=GAPS).value == 0j
     assert junction.dyson_junction_defect(PARAMS, 4, 0.3, 2, [(source, target)],
                                           gaps=GAPS)[0] == {(source, target): 0.0}
@@ -70,7 +71,7 @@ def test_labels_past_float_range_reach_no_entry(source, target):
 def all_chains(params=PARAMS, n_spins=4):
     # the (0, 0) -> (0, 0) element reaches every sector pair with unit
     # ladder amplitudes and normalization
-    return list(junction.chain_batches(params, n_spins, (0, 0), (0, 0), gaps=GAPS))
+    return list(junction.chain_batches(params, n_spins, (0, 0), (0, 0), 0.3, gaps=GAPS))
 
 
 def chain_sites(batch):
@@ -127,11 +128,18 @@ def test_elements_match_dense_oracle(source, target):
     assert fast == pytest.approx(slow, abs=1e-10)
 
 
+def unwindowed_batches(n_spins, source, target):
+    """The element's chunks with every chain whole: no window."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(junction, "_window", lambda *args: None)
+        return list(junction.chain_batches(PARAMS, n_spins, source, target, 0.0, gaps=GAPS))
+
+
 def unpacked_element(n_spins, source, target, t):
-    """The element one chain at a time: one eigensolve per chain, and the
-    weighted terms summed exactly by ``math.fsum``."""
+    """The element one whole chain at a time: one eigensolve per unwindowed
+    chain, and the weighted terms summed exactly by ``math.fsum``."""
     terms = []
-    for batch in junction.chain_batches(PARAMS, n_spins, source, target, gaps=GAPS):
+    for batch in unwindowed_batches(n_spins, source, target):
         for c, sites in enumerate(chain_sites(batch)):
             first, n = sites.start, sites.stop - sites.start
             if n > 1:
@@ -143,6 +151,99 @@ def unpacked_element(n_spins, source, target, t):
                 (vecs[batch.end[c] - first] * np.exp(-1j * t * evals))
                 @ vecs[batch.start[c] - first]))
     return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+
+
+def each_chain(batches):
+    """``(batch, chain, sites)`` of every chain of a list of chunks."""
+    for batch in batches:
+        for c, sites in enumerate(chain_sites(batch)):
+            yield batch, c, sites
+
+
+@pytest.mark.parametrize("source,target", [((0, 0), (1, -1)), ((0, 0), (0, 0)),
+                                           ((2, -1), (0, 1))])
+def test_chains_cut_to_the_window(source, target):
+    # at N = 12 and t = 0.3 each chain keeps the sites of the whole chain
+    # with a in [min(a_s, a_e) - w, max(a_s, a_e) + w], with their diagonal
+    # and hops, and an exact zero hop out of its last site
+    shift = abs(target[0] - source[0])
+    w = junction._window(PARAMS, 12, 0.3, shift)
+    assert w is not None
+    whole = unwindowed_batches(12, source, target)
+    cut = list(junction.chain_batches(PARAMS, 12, source, target, 0.3, gaps=GAPS))
+    assert sum(b.diag.size for b in cut) < sum(b.diag.size for b in whole)
+    chains = list(zip(each_chain(whole), each_chain(cut), strict=True))
+    for (full, c, sites), (part, d, kept) in chains:
+        for field in ("s_l", "s_r", "weight"):
+            assert getattr(part, field)[d] == getattr(full, field)[c]
+        a_s, a_e = full.a[full.start[c]], full.a[full.end[c]]
+        keep = ((full.a[sites] >= min(a_s, a_e) - w)
+                & (full.a[sites] <= max(a_s, a_e) + w))
+        for field in ("a", "b", "diag"):
+            np.testing.assert_array_equal(getattr(part, field)[kept],
+                                          getattr(full, field)[sites][keep])
+        inner = np.flatnonzero(keep)[:-1] + sites.start  # hops inside the window
+        np.testing.assert_array_equal(part.hop[kept.start:kept.stop - 1], full.hop[inner])
+        if kept.stop < part.diag.size:
+            assert part.hop[kept.stop - 1] == 0.0
+        assert (part.a[part.start[d]], part.a[part.end[d]]) == (a_s, a_e)
+
+
+@pytest.mark.parametrize("n_spins,t", [(2, 0.3), (4, 0.3), (4, 3.0), (6, 0.4)])
+def test_uncut_chains_give_identical_elements(n_spins, t):
+    # where no window cuts a chain, the element is the unwindowed one, bit
+    # for bit
+    for source, target in ELEMENTS:
+        assert junction._window(PARAMS, n_spins, t, abs(target[0] - source[0])) is None
+        got = junction.evolution_element(PARAMS, n_spins, source, target, t, gaps=GAPS).value
+        assert got == windowed_element(n_spins, source, target, t, None)
+
+
+@pytest.mark.parametrize("n_spins", [4, 8, 20, 64])
+@pytest.mark.parametrize("t", [0.0, 0.3, -3.0, 40.0])
+@pytest.mark.parametrize("shift", [0, 1, 3])
+def test_window_is_the_smallest_within_the_tail(n_spins, t, shift):
+    w = junction._window(PARAMS, n_spins, t, shift)
+    log_tail = math.log(junction._TAIL)
+    x = abs(PARAMS.lam) * (n_spins + 1) ** 2 / (2 * n_spins**2) * abs(t)
+    bounds = [junction._window_log_bound(x, v, shift) for v in range(n_spins - shift)]
+    if w is None:  # none that cuts is enough
+        assert all(bound > log_tail for bound in bounds)
+    else:
+        assert bounds[w] <= log_tail < min(bounds[:w], default=math.inf)
+    assert (w == 0) == (t == 0.0)
+
+
+def windowed_element(n_spins, source, target, t, w):
+    """The element with every chain cut to a window of ``w`` sites, or
+    whole for None."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(junction, "_window", lambda *args: w)
+        return junction.evolution_element(PARAMS, n_spins, source, target, t,
+                                          gaps=GAPS).value
+
+
+@pytest.mark.parametrize("n_spins", [8, 20])
+@pytest.mark.parametrize("t", [0.3, 3.0, -7.0])
+def test_window_bound_holds_at_every_width(n_spins, t):
+    # each window from 1 site up to the computed one (up to the widest that
+    # can cut where none is computed) moves the element by at most the
+    # summed |weight| times its bound per chain, past rounding: the
+    # elements are exact to about 2e-15 per unit weight at |t| <= 1, and
+    # the recursion's rounding grows with its order, about linearly in |t|
+    h = abs(PARAMS.lam) * (n_spins + 1) ** 2 / (4 * n_spins**2)
+    for source, target in [((0, 0), (1, -1)), ((0, 0), (0, 0)), ((2, -1), (0, 1))]:
+        shift = abs(target[0] - source[0])
+        batches = unwindowed_batches(n_spins, source, target)
+        assert max(np.abs(batch.hop).max() for batch in batches) <= h
+        total_weight = sum(np.abs(batch.weight).sum() for batch in batches)
+        want = windowed_element(n_spins, source, target, t, None)
+        w = junction._window(PARAMS, n_spins, t, shift)
+        for width in range(1, (n_spins - shift if w is None else w) + 1):
+            error = abs(windowed_element(n_spins, source, target, t, width) - want)
+            bound = math.exp(junction._window_log_bound(2 * h * abs(t), width, shift))
+            assert error <= total_weight * (bound + 2e-15 * max(1.0, abs(t))), (
+                source, target, width, error, bound)
 
 
 @pytest.mark.parametrize("n_spins", [8, 12, 20])
@@ -172,7 +273,7 @@ def reached_entries(layer, n_spins, n, n_p):
 def test_solver_counts_every_chain_site(monkeypatch, source, target):
     # a one-site bound makes each left table entry a chunk of its own
     monkeypatch.setattr(junction, "_CHUNK_SITES", 1)
-    entries = list(junction.chain_batches(PARAMS, 8, source, target, gaps=GAPS))
+    entries = list(junction.chain_batches(PARAMS, 8, source, target, 0.7, gaps=GAPS))
     assert sum(entry.first.size for entry in entries) == (
         reached_entries(PARAMS.left, 8, source[0], target[0])
         * reached_entries(PARAMS.right, 8, source[1], target[1]))
@@ -187,7 +288,7 @@ def test_solver_counts_every_chain_site(monkeypatch, source, target):
         # the entries' sites are counted in blocks of about _CHUNK_SITES
         # pairs: at 100 and 256 there are several blocks
         monkeypatch.setattr(junction, "_CHUNK_SITES", sites)
-        batches = list(junction.chain_batches(PARAMS, 8, source, target, gaps=GAPS))
+        batches = list(junction.chain_batches(PARAMS, 8, source, target, 0.7, gaps=GAPS))
         # every chain once, in order, and no hop from one chunk to the next
         for field in ("s_l", "s_r", "weight", "a", "b", "diag"):
             np.testing.assert_array_equal(
@@ -318,6 +419,33 @@ def test_order_cap_raises_numerical_error(t):
         junction.evolution_element(PARAMS, 4, (0, 0), (1, -1), t, gaps=GAPS)
 
 
+README = junction.JunctionParams(
+    left=sectors.ModelParams(epsilon=0.0, t_c=1.0, beta=2.0),
+    right=sectors.ModelParams(epsilon=0.0, t_c=1.0, beta=2.0),
+    lam=1.0, e_c=0.4, n_g=0.2, beta=2.0,
+)
+
+
+def test_time_past_float_range_is_numerical_error():
+    # the quadrature's start node count and the window are taken past the
+    # float range with no overflow and no warning
+    calls = [
+        lambda: circle.dyson_circle(circle.CircuitParams(1, 1), circle.ChargeBasisTruncation(8),
+                                    1e308, 2),
+        lambda: junction.dyson_junction(README, 4, 1e308, 2, [((0, 0), (1, -1))]),
+        lambda: junction.evolution_element(README, 4, (0, 0), (1, -1), 1e308),
+        lambda: junction.evolution_element(README, 20, (0, 0), (1, -1), 1e308),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(NumericalError):
+                call()
+        assert junction._window(README, 20, 1e308, 1) is None
+        assert junction._window(README, 2, 1.7e308, 0) is None  # 2 h |t| is inf
+        assert junction._window_log_bound(math.inf, 0, 0) == math.inf
+
+
 def test_element_at_time_zero():
     el = junction.evolution_element(PARAMS, 4, (0, 0), (0, 0), 0.0, gaps=GAPS)
     assert el.value == pytest.approx(1.0, abs=1e-12)
@@ -332,7 +460,7 @@ def test_element_at_time_zero():
 
 
 def test_charge_violating_elements_vanish_exactly():
-    assert list(junction.chain_batches(PARAMS, 4, (0, 0), (1, 1), gaps=GAPS)) == []
+    assert list(junction.chain_batches(PARAMS, 4, (0, 0), (1, 1), 0.3, gaps=GAPS)) == []
     el = junction.evolution_element(PARAMS, 4, (0, 0), (1, 1), 0.9, gaps=GAPS)
     assert el.value == 0j
     assert junction.dyson_junction(PARAMS, 4, 0.9, 2, [((0, 0), (1, 1))],
@@ -347,7 +475,7 @@ def test_charge_violating_elements_vanish_exactly():
                                            ((0, 0), (1, 1.5))])
 def test_non_integer_charge_label_rejected(source, target):
     calls = [
-        lambda: list(junction.chain_batches(PARAMS, 4, source, target, gaps=GAPS)),
+        lambda: list(junction.chain_batches(PARAMS, 4, source, target, 0.3, gaps=GAPS)),
         lambda: junction.evolution_element(PARAMS, 4, source, target, 0.3, gaps=GAPS),
         lambda: junction.circle_element(PARAMS, source, target, 0.3, gaps=GAPS),
         lambda: junction.dyson_junction(PARAMS, 4, 0.3, 2, [(source, target)], gaps=GAPS),
@@ -381,7 +509,7 @@ def test_first_order_coefficient_is_two_pair_correlators(params, n_spins):
     # weights factor the same way, so S is a product of one-layer words
     gaps = junction.layer_gaps(params)
     s = sum(float(np.dot(batch.weight, batch.hop[batch.start])) for batch in
-            junction.chain_batches(params, n_spins, (0, 0), (1, -1), gaps=gaps))
+            junction.chain_batches(params, n_spins, (0, 0), (1, -1), 0.3, gaps=gaps))
     lower_raise = correlators.FluctuationWord.from_triples([[0.0, 1, 1]])
     raise_lower = correlators.FluctuationWord.from_triples([[0.0, 0, 1], [0.0, 1, 0]])
     want = (params.lam * gaps[0].delta * gaps[1].delta
