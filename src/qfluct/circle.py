@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import eigh
 
-from .errors import ParameterError, TruncationError, require_finite
+from .errors import NumericalError, ParameterError, TruncationError, require_finite
 from .quadrature import _check_order, _dyson_bound, chain_dyson
 
 __all__ = [
@@ -92,11 +92,23 @@ def build_weyl(trunc: ChargeBasisTruncation, k: int) -> np.ndarray:
     return np.eye(trunc.dim, k=-k)
 
 
+def _charging(e_c: float, n_g: float, n) -> np.ndarray:
+    """The charging energies ``E_C (n - n_g)^2`` of the charges ``n``.
+
+    Raises ``NumericalError`` where one is past the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = e_c * (n - n_g) ** 2
+    if not np.isfinite(energy).all():
+        raise NumericalError(f"the charging term E_C (n - n_g)^2 is past the float range "
+                             f"at e_c={e_c!r}, n_g={n_g!r}")
+    return energy
+
+
 def _chain(params: CircuitParams, trunc: ChargeBasisTruncation):
     """The charge basis as one tridiagonal chain: site energies
     E_C (n - n_g)^2 and uniform hops E_J / 2."""
-    diag = params.e_c * (trunc.grid() - params.n_g) ** 2
-    return diag, np.full(trunc.dim - 1, 0.5 * params.e_j)
+    return (_charging(params.e_c, params.n_g, trunc.grid()),
+            np.full(trunc.dim - 1, 0.5 * params.e_j))
 
 
 def build_hamiltonian(params: CircuitParams, trunc: ChargeBasisTruncation) -> np.ndarray:
@@ -125,7 +137,7 @@ def spectrum(params: CircuitParams, trunc: ChargeBasisTruncation, k: int) -> Spe
     h = build_hamiltonian(params, trunc)
     window = np.linalg.eigvalsh(h)[:k]
     top, hop = window[-1], abs(params.e_j) / 2
-    floors = params.e_c * (trunc.n_max + 1 + np.array([1.0, -1.0]) * params.n_g) ** 2 - 2 * hop
+    floors = _charging(params.e_c, params.n_g, np.array([-1.0, 1.0]) * (trunc.n_max + 1)) - 2 * hop
     if top > floors.min() or (hop and top == floors.min()):
         return SpectrumResult(energies=window, converged=False, max_rel_shift=np.inf)
     if hop:

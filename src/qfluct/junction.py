@@ -10,19 +10,25 @@ hops ``(a, b) -> (a+1, b-1)``, so the block further decomposes into
 tridiagonal chains of fixed ``a + b`` (total charge is conserved, so an
 element that changes it has no chain and is exactly zero).  Matrix
 elements of the propagator between charge-transfer states are therefore
-exact sums over chains of small tridiagonal problems, built in chunks,
-one vectorized pass each: the chains of as many consecutive left table
-entries ``(s_L, sz_L0)`` as fit in ``_CHUNK_SITES`` sites, or of one larger
-entry, laid end to end (a chain's last hop is exactly zero, so no
-amplitude crosses from one chain to the next).  Each chain keeps only
-the sites within a window of ``w`` sites beyond its source and target,
-``w`` the smallest for which a computed bound on the paths that leave the
-window and come back (``_window_log_bound``) is at most the recursion's
-own ``_TAIL``.  One checked loop, ``_element_sums``, sums one term per
-chunk: its exact elements by a real Chebyshev recursion over its flat
-arrays, its Dyson terms by one ``chain_dyson`` call (in blocks of whole
-chains, packed by the same rule), or the difference of the two.  No array
-spans every entry pair.
+exact sums over chains of small tridiagonal problems, built in chunks:
+the chains of as many consecutive left table entries ``(s_L, sz_L0)`` as
+fit in ``_CHUNK_SITES`` sites, or of one larger entry, laid end to end (a
+chain's last hop is exactly zero, so no amplitude crosses from one chain
+to the next).  A site's diagonal and hop depend only on its two table
+entries and its offset ``m = a - sz_L0``, so each reached entry gets one
+row over the offsets, of its layer's spectrum and one-step ladder
+coefficients, the charging term is one row over ``m``, and a chunk
+gathers its sites from these rows: no ``eta`` or ladder coefficient is
+evaluated per site, and every value is the per-site formula's to the
+bit.  Each chain keeps only the sites within a window of ``w`` sites
+beyond its source and target, ``w`` the smallest for which a computed
+bound on the paths that leave the window and come back
+(``_window_log_bound``) is at most the recursion's own ``_TAIL``.  One
+checked loop, ``_element_sums``, sums one term per chunk: its exact
+elements by a real Chebyshev recursion over its flat arrays, its Dyson
+terms by one ``chain_dyson`` call (in blocks of whole chains, packed by
+the same rule), or the difference of the two.  No array spans every entry
+pair: the rows span entries and offsets.
 The recursion's order, and so its cost, grows linearly with ``|t| R``, the
 time times the largest Gershgorin half-width of a chunk's chains.  R is
 set by the charging energy at the sites far from the source, which the
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import ChargeBasisTruncation, CircuitParams, _evolution
+from .circle import ChargeBasisTruncation, CircuitParams, _charging, _evolution
 from .errors import (NormalPhaseError, NumericalError, ParameterError, TruncationError,
                      require_finite)
 from .gap import josephson_energy, solve_gap
@@ -141,9 +147,13 @@ class ChainBatch:
     times the ladder amplitudes and normalizations.  Site ``i`` holds the
     labels ``(a[i], b[i])``, ``a`` ascending and ``a + b`` fixed along a
     chain, which ends where ``a = s_l`` or ``b = -s_r`` or at the edge of its
-    window.  ``hop[i]`` joins sites ``i`` and ``i + 1``, exactly zero out of
-    a chain's last site.  ``start`` and ``end`` are the sites of the source
-    and target labels."""
+    window.  ``diag[i]`` is ``(eta_L(s_l, a) - eta_L(s_l, sz_l0)) +
+    (eta_R(s_r, b) - eta_R(s_r, sz_r0))`` plus the charging term, and
+    ``hop[i]``, which joins sites ``i`` and ``i + 1``, is ``lambda / N^2``
+    times the left raising and the right lowering coefficient at site
+    ``i``, exactly zero out of a chain's last site; both are gathered from
+    per-entry rows (``chain_batches``).  ``start`` and ``end`` are the sites
+    of the source and target labels."""
 
     s_l: np.ndarray
     s_r: np.ndarray
@@ -162,7 +172,10 @@ def _reached(layer: ModelParams, n_spins: int, n: int, n_p: int):
     that both charges ``n`` and ``n_p`` reach: the amplitude, the product of
     the two ladder coefficients, is nonzero."""
     s, sz0, logw = thermal_table(layer, n_spins).flat()
-    amp = ladder_coefficient(s, sz0, n) * ladder_coefficient(s, sz0, n_p)
+    amp = np.ones(s.size)
+    for k in (n, n_p):
+        if k:  # a walk of no steps from an entry, which is in its sector, is 1
+            amp = amp * ladder_coefficient(s, sz0, k)
     keep = amp != 0.0
     return s[keep], sz0[keep], logw[keep], amp[keep]
 
@@ -200,16 +213,37 @@ def _window_log_bound(x: float, w: int, shift: int) -> float:
     return hops * math.log(x) - math.lgamma(hops + 1) + x
 
 
+def _rows(layer: ModelParams, n_spins: int, s, sz, at_entry: int, step: int):
+    """``eta(s, sz) - eta(s, sz0)`` and the ladder coefficient of one
+    ``step`` at ``sz``, flat, for one row of labels ``sz`` per entry of spin
+    ``s`` whose column ``at_entry`` is the entry's own ``sz0``."""
+    width = sz.shape[1]
+    s, sz = s.repeat(width), sz.ravel()
+    level = eta(layer, n_spins, s, sz).reshape(-1, width)
+    return (level - level[:, at_entry, None]).ravel(), ladder_coefficient(s, sz, step)
+
+
 def chain_batches(params: JunctionParams, n_spins: int, source, target, t: float,
                   gaps=None):
     """Yield the chains of every table entry pair that both charge states
     reach, as ``ChainBatch`` chunks of consecutive left entries with all of
     their chains: as many entries as fit in ``_CHUNK_SITES`` sites, or one
-    larger entry alone (``quadrature._packs``), each built in one vectorized
-    pass.  Diagonal: layer spectra relative to the commutant labels plus the
-    charging term; hops: the tunneling ladder products scaled by
-    lambda / N^2.  Total charge is conserved exactly: an element with
-    ``n_L + n_R != n_L' + n_R'`` has no chain and yields none.
+    larger entry alone (``quadrature._packs``).  Diagonal: layer spectra
+    relative to the commutant labels plus the charging term; hops: the
+    tunneling ladder products scaled by lambda / N^2.  Total charge is
+    conserved exactly: an element with ``n_L + n_R != n_L' + n_R'`` has no
+    chain and yields none.
+
+    A site's diagonal and hop depend only on its left entry, its right
+    entry and its offset ``m = a - sz_L0`` (then ``b = sz_R0 + n_L + n_R -
+    m``).  So each reached entry gets one row over the offsets of every
+    chain, ``eta(s, sz) - eta(s, sz0)`` and the one-step ladder coefficient
+    of its layer (``_rows``), and the charging term is one row over ``m``.
+    Each chunk gathers its sites' values from these rows by flat index and
+    adds and multiplies them in the per-site formulas' order,
+    ``((eta_L - eta_L0) + (eta_R - eta_R0)) + charging`` and
+    ``(lambda / N^2 * L) * R``, so every field is theirs to the bit.  The
+    rows hold entries times offsets, never entry pairs.
 
     Each chain keeps the sites ``a`` in [min(a_s, a_e) - w, max(a_s, a_e) + w]
     of its own range, ``a_s = sz_L0 + n_L`` and ``a_e = sz_L0 + n_L'`` its
@@ -217,7 +251,8 @@ def chain_batches(params: JunctionParams, n_spins: int, source, target, t: float
     time ``t``; a window edge ends a chain with an exact zero hop, as a
     chain's end does.  With no window (None), every chain is whole.
 
-    Raises ``ParameterError`` for a charge label that is not an integer."""
+    Raises ``ParameterError`` for a charge label that is not an integer and
+    ``NumericalError`` for a charging term past the float range."""
     (n_l, n_r), (n_lp, n_rp) = _charge_labels(source, target)
     if n_l + n_r != n_lp + n_rp:
         return
@@ -230,48 +265,64 @@ def chain_batches(params: JunctionParams, n_spins: int, source, target, t: float
     # a reached entry has every |n| <= N, so this is finite
     log_norm = ((abs(n_l) + abs(n_lp)) * math.log(gl.delta * n_spins)
                 + (abs(n_r) + abs(n_rp)) * math.log(gr.delta * n_spins))
-    eta_l0, eta_r0 = eta(pl, n_spins, s_l, sz_l0), eta(pr, n_spins, s_r, sz_r0)
-    # the range of a of each left entry: [-s_l, s_l], cut to the window
-    a_min, a_max = -s_l, s_l
+    # the offsets m = a - sz_L0 each entry's sites take: a in [-s_l, s_l],
+    # cut to the window, and b = sz_R0 + charge - m in [-s_r, s_r]
+    charge = n_l + n_r
+    lo_l, hi_l = (-s_l - sz_l0).astype(int), (s_l - sz_l0).astype(int)
     w = _window(params, n_spins, t, abs(n_lp - n_l))
     if w is not None:
-        a_min = np.maximum(a_min, sz_l0 + (min(n_l, n_lp) - w))
-        a_max = np.minimum(a_max, sz_l0 + (max(n_l, n_lp) + w))
+        lo_l = np.maximum(lo_l, min(n_l, n_lp) - w)
+        hi_l = np.minimum(hi_l, max(n_l, n_lp) + w)
+    lo_r, hi_r = (sz_r0 - s_r).astype(int) + charge, (sz_r0 + s_r).astype(int) + charge
 
-    def chains(lo, hi):  # a + b, lowest a and length of the chains of left entries lo:hi
-        charge = (sz_l0[lo:hi, None] + n_l) + (sz_r0 + n_r)
-        a_lo = np.maximum(a_min[lo:hi, None], charge - s_r)
-        length = np.rint(np.minimum(a_max[lo:hi, None], charge + s_r) - a_lo).astype(int) + 1
-        return charge, a_lo, length
+    # one row per entry over the offsets m0 .. m0 + width - 1, which hold
+    # every site and the entries themselves: a = sz_L0 at m = 0 and
+    # b = sz_R0 at m = charge
+    m0 = min(int(lo_l.min()), 0, charge)
+    m = np.arange(m0, max(int(hi_l.max()), 0, charge) + 1, dtype=float)
+    width = m.size
+    a_row, b_row = sz_l0[:, None] + m, sz_r0[:, None] + (charge - m)
+    eta_l, hop_l = _rows(pl, n_spins, s_l, a_row, -m0, 1)
+    eta_r, hop_r = _rows(pr, n_spins, s_r, b_row, charge - m0, -1)
+    hop_l = params.lam / n_spins**2 * hop_l
+    a_row, b_row = a_row.ravel(), b_row.ravel()
+    # the charging row, once per left entry, so that a site's left index
+    # reads it (array methods and ufuncs in place of np.tile, np.repeat and
+    # np.cumsum, whose wrappers cost microseconds a small-N element feels)
+    charging = _charging(params.e_c, params.n_g, 0.5 * (m - (charge - m)))
+    charging = charging[None].repeat(s_l.size, axis=0).ravel()
+
+    def chains(lo, hi):  # the first offset and length of the chains of left entries lo:hi
+        m_first = np.maximum(lo_l[lo:hi, None], lo_r)
+        return m_first, np.minimum(hi_l[lo:hi, None], hi_r) - m_first + 1
 
     # the sites of each left entry set the chunk bounds; they are counted in
     # blocks of about _CHUNK_SITES pairs, so no array spans all pairs
     block = max(1, _CHUNK_SITES // s_r.size)
-    sizes = np.concatenate([chains(lo, lo + block)[2].sum(axis=1)
+    sizes = np.concatenate([chains(lo, lo + block)[1].sum(axis=1)
                             for lo in range(0, s_l.size, block)])
-    for lo, hi in _packs([0, *np.cumsum(sizes).tolist()], _CHUNK_SITES):
-        charge, a_lo, length = chains(lo, hi)
-        lengths = length.ravel()
-        first = np.cumsum(lengths) - lengths
-        chain = np.repeat(np.arange(lengths.size), lengths)  # the chain of each site
-        left, right = np.divmod(chain, s_r.size)  # its entries
-        left += lo
-        a = a_lo.ravel()[chain] + (np.arange(chain.size) - first[chain])
-        b = charge.ravel()[chain] - a
-        site_s_l, site_s_r = s_l[left], s_r[right]
-        diag = ((eta(pl, n_spins, site_s_l, a) - eta_l0[left])
-                + (eta(pr, n_spins, site_s_r, b) - eta_r0[right])
-                + params.e_c * (0.5 * ((a - sz_l0[left]) - (b - sz_r0[right]))
-                                - params.n_g) ** 2)
-        hop = (params.lam / n_spins**2 * ladder_coefficient(site_s_l[:-1], a[:-1], 1)
-               * ladder_coefficient(site_s_r[:-1], b[:-1], -1))
+    left_rows, right_rows = np.arange(s_l.size) * width, np.arange(s_r.size) * width
+    for lo, hi in _packs([0, *np.add.accumulate(sizes).tolist()], _CHUNK_SITES):
+        m_first, lengths = chains(lo, hi)
+        lengths = lengths.ravel()
+        first = np.add.accumulate(lengths) - lengths
+        # each site's index into the left and right rows: its chain's first
+        # offset's, then one on per site
+        site = np.arange(first[-1] + lengths[-1])
+        column = m_first - m0
+        left = ((column + left_rows[lo:hi, None]).ravel() - first).repeat(lengths)
+        left += site
+        right = ((column + right_rows).ravel() - first).repeat(lengths)
+        right += site
+        diag = (eta_l[left] + eta_r[right]) + charging[left]
+        hop = hop_l[left[:-1]] * hop_r[right[:-1]]
         hop[first[1:] - 1] = 0.0  # out of each chain's last site, a window edge too
         weight = np.exp(logw_l[lo:hi, None] + logw_r - log_norm) * amp_l[lo:hi, None] * amp_r
-        at_sz_l0 = first + np.rint(sz_l0[lo:hi, None] - a_lo).astype(int).ravel()
+        at_sz_l0 = first - m_first.ravel()
         yield ChainBatch(
-            s_l=np.repeat(s_l[lo:hi], s_r.size), s_r=np.tile(s_r, hi - lo),
-            weight=weight.ravel(), a=a, b=b, diag=diag, hop=hop, first=first,
-            start=at_sz_l0 + n_l, end=at_sz_l0 + n_lp,
+            s_l=s_l[lo:hi].repeat(s_r.size), s_r=s_r[None].repeat(hi - lo, axis=0).ravel(),
+            weight=weight.ravel(), a=a_row[left], b=b_row[right], diag=diag, hop=hop,
+            first=first, start=at_sz_l0 + n_l, end=at_sz_l0 + n_lp,
         )
 
 

@@ -1,11 +1,12 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from qfluct import circle
-from qfluct.errors import ParameterError, TruncationError
+from qfluct.errors import NumericalError, ParameterError, TruncationError
 
 
 def make_state(trunc, entries):
@@ -168,6 +169,33 @@ def test_spectrum_bound_on_extreme_circuits(e_c, e_j):
                 warnings.simplefilter("error")
                 res = circle.spectrum(circle.CircuitParams(e_c, e_j, 0.25), trunc, k)
             assert res.max_rel_shift >= 0
+
+
+@pytest.mark.parametrize("n_g", [1e300, -1e300])
+def test_charging_term_past_float_range_is_numerical_error(n_g):
+    # E_C (n - n_g)^2 past the float range is named, with no warning, by
+    # every call that forms it
+    params = circle.CircuitParams(1.0, 0.2, n_g)
+    trunc = circle.ChargeBasisTruncation(8)
+    calls = [lambda: circle.spectrum(params, trunc, 3),
+             lambda: circle.propagator(params, trunc, 0.3),
+             lambda: circle.dyson_circle(params, trunc, 0.3, 2),
+             lambda: circle.dyson_defect(params, trunc, 0.3, 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(NumericalError, match=re.escape(f"e_c=1.0, n_g={n_g!r}")):
+                call()
+
+
+def test_spectrum_floor_past_float_range_is_numerical_error():
+    # the window's charging terms are finite (1.2e308 at n = 2), the
+    # outside's Gershgorin floor 3e307 * 3^2 is not
+    params = circle.CircuitParams(3e307, 0.2, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=re.escape("e_c=3e+307, n_g=0.0")):
+            circle.spectrum(params, circle.ChargeBasisTruncation(2), 3)
 
 
 def test_evolution_identity_and_unitarity():

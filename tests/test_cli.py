@@ -534,6 +534,19 @@ def test_converge_time_past_phase_range_is_numerical_error(tmp_path, capsys, tim
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,config", [
+    ("circle", {"e_c": 1.0, "e_j": 0.2, "n_g": 1e300, "n_max": 8, "levels": 3}),
+    ("junction", {**README_JUNCTION, "n_g": 1e300}),
+], ids=["circle", "junction"])
+def test_charging_term_past_float_range_is_numerical_error(tmp_path, capsys, command, config):
+    # the config is valid, but E_C (n - n_g)^2 is past the float range
+    code, out = run(tmp_path, command, config)
+    assert code == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical error: the charging term")
+    assert not out.exists()
+
+
 def test_converge_reports_discarded_bound(tmp_path):
     code, out = run(tmp_path, "converge",
                     {"epsilon": 0.0, "t_c": 1.0, "beta": 2.0,

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -128,11 +129,139 @@ def test_elements_match_dense_oracle(source, target):
     assert fast == pytest.approx(slow, abs=1e-10)
 
 
+def per_site_batches(params, n_spins, source, target, w, gaps):
+    """The element's chunks, as ``chain_batches`` lays them out, with every
+    site's diagonal and hop formed at the site from its own labels by
+    ``sectors.eta`` and ``ladder_coefficient``, each chain cut to a window
+    of ``w`` sites beyond its source and target, or whole for None."""
+    (n_l, n_r), (n_lp, n_rp) = source, target
+    if n_l + n_r != n_lp + n_rp:
+        return []
+    pl, pr = params.left, params.right
+
+    def reached(layer, n, n_p):  # the table entries both charges reach
+        s, sz0, logw = sectors.thermal_table(layer, n_spins).flat()
+        amp = sectors.ladder_coefficient(s, sz0, n) * sectors.ladder_coefficient(s, sz0, n_p)
+        keep = amp != 0.0
+        return s[keep], sz0[keep], logw[keep], amp[keep]
+
+    s_l, sz_l0, logw_l, amp_l = reached(pl, n_l, n_lp)
+    s_r, sz_r0, logw_r, amp_r = reached(pr, n_r, n_rp)
+    if not (s_l.size and s_r.size):
+        return []
+    log_norm = ((abs(n_l) + abs(n_lp)) * math.log(gaps[0].delta * n_spins)
+                + (abs(n_r) + abs(n_rp)) * math.log(gaps[1].delta * n_spins))
+    eta_l0, eta_r0 = sectors.eta(pl, n_spins, s_l, sz_l0), sectors.eta(pr, n_spins, s_r, sz_r0)
+    a_min, a_max = -s_l, s_l
+    if w is not None:
+        a_min = np.maximum(a_min, sz_l0 + (min(n_l, n_lp) - w))
+        a_max = np.minimum(a_max, sz_l0 + (max(n_l, n_lp) + w))
+    charge = (sz_l0[:, None] + n_l) + (sz_r0 + n_r)
+    a_lo = np.maximum(a_min[:, None], charge - s_r)
+    length = np.rint(np.minimum(a_max[:, None], charge + s_r) - a_lo).astype(int) + 1
+    batches = []
+    for lo, hi in quadrature._packs([0, *np.cumsum(length.sum(axis=1)).tolist()],
+                                    junction._CHUNK_SITES):
+        lengths = length[lo:hi].ravel()
+        first = np.cumsum(lengths) - lengths
+        chain = np.repeat(np.arange(lengths.size), lengths)
+        left, right = np.divmod(chain, s_r.size)
+        left += lo
+        a = a_lo[lo:hi].ravel()[chain] + (np.arange(chain.size) - first[chain])
+        b = charge[lo:hi].ravel()[chain] - a
+        site_s_l, site_s_r = s_l[left], s_r[right]
+        diag = ((sectors.eta(pl, n_spins, site_s_l, a) - eta_l0[left])
+                + (sectors.eta(pr, n_spins, site_s_r, b) - eta_r0[right])
+                + params.e_c * (0.5 * ((a - sz_l0[left]) - (b - sz_r0[right]))
+                                - params.n_g) ** 2)
+        hop = (params.lam / n_spins**2 * sectors.ladder_coefficient(site_s_l[:-1], a[:-1], 1)
+               * sectors.ladder_coefficient(site_s_r[:-1], b[:-1], -1))
+        hop[first[1:] - 1] = 0.0
+        weight = np.exp(logw_l[lo:hi, None] + logw_r - log_norm) * amp_l[lo:hi, None] * amp_r
+        at_sz_l0 = first + np.rint(sz_l0[lo:hi, None] - a_lo[lo:hi]).astype(int).ravel()
+        batches.append(junction.ChainBatch(
+            s_l=np.repeat(s_l[lo:hi], s_r.size), s_r=np.tile(s_r, hi - lo),
+            weight=weight.ravel(), a=a, b=b, diag=diag, hop=hop, first=first,
+            start=at_sz_l0 + n_l, end=at_sz_l0 + n_lp))
+    return batches
+
+
+CHAIN_FIELDS = [field.name for field in dataclasses.fields(junction.ChainBatch)]
+
+
+@pytest.mark.parametrize("n_spins", [2, 4, 6, 8, 12, 20, 32])
+@pytest.mark.parametrize("t", [0.3, 3.0, -7.0])
+def test_chain_fields_equal_the_per_site_formulas(n_spins, t):
+    # the rows reproduce each site's own eta and ladder products bit for
+    # bit, windowed or whole, on the test elements and on the junction
+    # job's two element shapes at the README junction parameters
+    cases = [(PARAMS, GAPS, element) for element in ELEMENTS]
+    cases += [(README, README_GAPS, element) for element in [((0, 0), (1, -1)), ((1, 0), (0, 1))]]
+    for params, gaps, (source, target) in cases:
+        w = junction._window(params, n_spins, t, abs(target[0] - source[0]))
+        want = per_site_batches(params, n_spins, source, target, w, gaps)
+        got = list(junction.chain_batches(params, n_spins, source, target, t, gaps=gaps))
+        assert len(got) == len(want) > 0
+        for chunk, reference in zip(got, want):
+            for field in CHAIN_FIELDS:
+                value, expected = getattr(chunk, field), getattr(reference, field)
+                assert value.dtype == expected.dtype, (source, target, field)
+                assert np.array_equal(value, expected), (source, target, field)
+
+
+@pytest.mark.parametrize("n_spins", [4, 8, 20, 32])
+def test_diagonal_curvature_is_the_finite_n_charging_energy(n_spins):
+    # along a chain the diagonal is quadratic in the offset m = a - sz_L0,
+    # with second difference 2 E_C^(N), E_C^(N) = E_C + 2 (T_cL + T_cR) / N:
+    # each layer's eta adds 2 T_c / N to the charging term's curvature.  The
+    # rounding is that of the terms the diagonal sums, so the tolerance is
+    # 16 ulp of their largest summed magnitude on the chain (2 ulp are
+    # reached; of the chain's max|diag|, where the etas cancel, 104 are)
+    pl, pr = PARAMS.left, PARAMS.right
+    want = 2.0 * (PARAMS.e_c + 2.0 * (pl.t_c + pr.t_c) / n_spins)
+    triples = 0
+    for source, target in ELEMENTS:
+        for batch in junction.chain_batches(PARAMS, n_spins, source, target, 0.3, gaps=GAPS):
+            lengths = np.diff(batch.first, append=batch.diag.size)
+            chain = np.repeat(np.arange(lengths.size), lengths)
+            s_l, s_r, a, b = batch.s_l[chain], batch.s_r[chain], batch.a, batch.b
+            sz_l0 = (a[batch.start] - source[0])[chain]
+            sz_r0 = (b[batch.start] - source[1])[chain]
+            terms = (np.abs(sectors.eta(pl, n_spins, s_l, a))
+                     + np.abs(sectors.eta(pl, n_spins, s_l, sz_l0))
+                     + np.abs(sectors.eta(pr, n_spins, s_r, b))
+                     + np.abs(sectors.eta(pr, n_spins, s_r, sz_r0))
+                     + PARAMS.e_c * (0.5 * ((a - sz_l0) - (b - sz_r0)) - PARAMS.n_g) ** 2)
+            inside = chain[:-2] == chain[2:]  # three consecutive sites of one chain
+            scale = np.maximum.reduceat(terms, batch.first)[chain[:-2][inside]]
+            error = np.abs(np.diff(batch.diag, 2)[inside] - want)
+            assert np.all(error <= 16 * np.spacing(scale)), (source, target, error.max())
+            triples += np.count_nonzero(inside)
+    assert triples > 0
+
+
+def test_chain_rows_hold_entries_not_pairs():
+    # one pass over the chunks of an element at N = 48, none held after
+    # use, peaks at a few chunks' bytes: the rows span table entries and
+    # offsets, never entry pairs
+    for layer in (README.left, README.right):
+        sectors.thermal_table(layer, 48)
+    tracemalloc.start()
+    try:
+        largest = 0
+        for chunk in junction.chain_batches(README, 48, (0, 0), (1, -1), 0.3, gaps=README_GAPS):
+            largest = max(largest, sum(getattr(chunk, field).nbytes for field in CHAIN_FIELDS))
+            del chunk
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * largest, (peak, largest)
+
+
 def unwindowed_batches(n_spins, source, target):
-    """The element's chunks with every chain whole: no window."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(junction, "_window", lambda *args: None)
-        return list(junction.chain_batches(PARAMS, n_spins, source, target, 0.0, gaps=GAPS))
+    """The element's chunks with every chain whole, from the per-site
+    formulas."""
+    return per_site_batches(PARAMS, n_spins, source, target, None, GAPS)
 
 
 def unpacked_element(n_spins, source, target, t):
@@ -424,6 +553,7 @@ README = junction.JunctionParams(
     right=sectors.ModelParams(epsilon=0.0, t_c=1.0, beta=2.0),
     lam=1.0, e_c=0.4, n_g=0.2, beta=2.0,
 )
+README_GAPS = junction.layer_gaps(README)
 
 
 def test_time_past_float_range_is_numerical_error():
@@ -444,6 +574,25 @@ def test_time_past_float_range_is_numerical_error():
         assert junction._window(README, 20, 1e308, 1) is None
         assert junction._window(README, 2, 1.7e308, 0) is None  # 2 h |t| is inf
         assert junction._window_log_bound(math.inf, 0, 0) == math.inf
+
+
+def test_charging_term_past_float_range_is_numerical_error():
+    # at n_g = 1e300 the charging row is past the float range: it is named,
+    # with no warning, before any chain is propagated, and so is the circle
+    # comparator's
+    far = dataclasses.replace(README, n_g=1e300)
+    element = ((0, 0), (1, -1))
+    calls = [
+        lambda: list(junction.chain_batches(far, 4, *element, 0.3, gaps=README_GAPS)),
+        lambda: junction.evolution_element(far, 20, *element, 0.3, gaps=README_GAPS),
+        lambda: junction.dyson_junction_defect(far, 4, 0.3, 2, [element], gaps=README_GAPS),
+        lambda: junction.circle_element(far, *element, 0.3, gaps=README_GAPS),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(NumericalError, match=r"e_c=0\.4, n_g=1e\+300"):
+                call()
 
 
 def test_element_at_time_zero():
